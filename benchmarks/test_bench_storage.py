@@ -41,8 +41,11 @@ def _triangle_mb(n: int) -> float:
 def rss_cap_mb(scenario: str, n: int) -> float:
     """The ceiling a memmap run must stay under.
 
-    PAM streams everything, so its cap is *well below* the triangle:
-    the block cache plus panel scratch.  Agglomerative keeps its working
+    PAM streams panels off a store of several blocks, so its cap is
+    *well below* the triangle: the block cache plus panel scratch (a
+    single-block store -- n <= 2048 at the default block size -- runs
+    PAM's square evaluator instead, a few blocks of memory, which the
+    cache term covers).  Agglomerative keeps its working
     triangle cache-resident by design (refaulting the working set every
     merge is pathological), so its honest cap is ~1.5x the triangle --
     the win over dense is the absent second square materialisation, not
@@ -135,27 +138,3 @@ def test_storage_backends_at_scale(tmp_path, table, bench_store):
         ("scenario", "backend", "seconds", "peak RSS (MB)", "cap (MB)"),
     )
     bench_store("storage", entries)
-
-
-def test_float32_backend_halves_storage(tmp_path, table, bench_store):
-    """The float32 backend is the storage/precision trade: same probe,
-    half the bytes per entry, digests allowed to differ."""
-    n = min(STORAGE_BENCH_N, 2000)
-    report = _probe("pam", "float32", n, tmp_path)
-    assert report["backend"] == "float32"
-    bench_store(
-        "storage",
-        {
-            f"pam_float32_n{n}": {
-                "n": n,
-                "backend": "float32",
-                "seconds": report["seconds"],
-                "peak_rss_mb": report["peak_rss_mb"],
-            }
-        },
-    )
-    table(
-        f"float32 backend, n={n}",
-        [("pam", "float32", report["seconds"], report["peak_rss_mb"])],
-        ("scenario", "backend", "seconds", "peak RSS (MB)"),
-    )

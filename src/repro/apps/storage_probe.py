@@ -149,7 +149,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--scenario", choices=SCENARIOS, required=True)
     parser.add_argument("--n", type=int, required=True, help="object count")
-    parser.add_argument("--backend", default=None, help="memory|float32|memmap")
+    parser.add_argument("--backend", default=None, help="memory|memmap")
     parser.add_argument("--block-entries", type=int, default=None)
     parser.add_argument("--cache-bytes", type=int, default=None)
     parser.add_argument("--store-dir", default=None)

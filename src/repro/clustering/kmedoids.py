@@ -51,14 +51,14 @@ _CANDIDATE_BLOCK = 512
 class _StorePanels:
     """Row/column panels of the square matrix, streamed off a condensed store.
 
-    The sharded PAM path never materialises ``to_square()``: a row panel
+    The multi-block PAM path never materialises ``to_square()``: a row panel
     for rows ``[r0, r1)`` is one contiguous condensed segment (all
     below-diagonal entries of those rows), a symmetric in-band fill, and
     one block-ascending gather for the columns beyond ``r1``.  Column
     blocks are the transposed panels copied C-contiguous, so every
     reduction downstream runs over temporaries with the exact shape,
-    layout, and element order of the dense path's -- which is what keeps
-    medoid selection bit-identical on the float64 memmap backend.
+    layout, and element order of the square path's -- which is what keeps
+    medoid selection independent of the store's block size.
     """
 
     def __init__(self, matrix: DissimilarityMatrix) -> None:
@@ -152,12 +152,12 @@ def _build_init(square: np.ndarray, k: int) -> list[int]:
 
 
 def _store_build_init(source: _StorePanels, k: int) -> list[int]:
-    """BUILD over a sharded matrix: :func:`_build_init` panel by panel.
+    """BUILD over a multi-block store: :func:`_build_init` panel by panel.
 
     Each gain pass reduces per-row over contiguous panel rows -- the same
-    pairwise-summation element order as the dense full-matrix temporary
-    -- so the greedy choices (argmin/argmax over bit-identical vectors)
-    match the dense path exactly on float64 backends.
+    pairwise-summation element order as the full-square temporary -- so
+    the greedy choices (argmin/argmax over bit-identical vectors) match
+    the square path exactly.
     """
     n = source.n
     sums = np.empty(n, dtype=np.float64)
@@ -220,7 +220,7 @@ def _store_swap_deltas(
 ) -> np.ndarray:
     """:func:`_swap_deltas` over streamed column blocks.
 
-    The dense path's reductions all run on C-contiguous ``(n, block)``
+    The square path's reductions all run on C-contiguous ``(n, block)``
     temporaries (the strided ``square[:, block]`` view is consumed by
     elementwise ops first), so feeding the same expressions a contiguous
     ``column_block`` copy reproduces every delta bit for bit.
@@ -293,13 +293,16 @@ def k_medoids(
     n = matrix.num_objects
     if not 1 <= k <= n:
         raise ClusteringError(f"k must be in [1, {n}], got {k}")
-    values = matrix.store.array_view()
-    if values is not None:
+    store = matrix.store
+    if store.size <= store.block_entries:
+        # A single-block store is read whole anyway, so its square costs
+        # a few blocks of memory at most -- and the square evaluator runs
+        # about twice as fast as streamed panels.
         square: np.ndarray | None = matrix.to_square()
         source: _StorePanels | None = None
         medoids = _build_init(square, k)
     else:
-        # Sharded backend: stream panels, never materialise the square --
+        # Several blocks: stream panels, never materialise the square --
         # peak memory is O(n * _CANDIDATE_BLOCK) plus the store's cache.
         square = None
         source = _StorePanels(matrix)

@@ -73,30 +73,20 @@ from repro.types import LinkageMethod
 class _Workspace:
     """Condensed working state plus reusable buffers for the hot loops.
 
-    Rows are read as a contiguous below-diagonal slice plus one strided
-    above-diagonal gather, and merge updates are written back the same
-    way *unmasked*: retired pairs' condensed slots receive stale garbage,
-    which is safe because every reader either indexes active slots only
-    or masks inactive entries to infinity afterwards.
-
-    The working buffer is either a plain condensed ndarray (``condensed``
-    is copied -- the dense path, bit-identical to the seed) or a
-    :class:`~repro.distance.store.CondensedStore` working copy the
-    workspace takes ownership of (the sharded path); the ``value_at`` /
-    ``values_at`` / ``write_span`` / ``scatter`` helpers dispatch so the
-    merge arithmetic -- which only ever sees gathered float64 rows -- is
-    shared verbatim between both.
+    The working state is a :class:`~repro.distance.store.CondensedStore`
+    copy the workspace owns.  Rows are read as a contiguous
+    below-diagonal slice plus one strided above-diagonal gather, and
+    merge updates are written back the same way *unmasked*: retired
+    pairs' condensed slots receive stale garbage, which is safe because
+    every reader either indexes active slots only or masks inactive
+    entries to infinity afterwards.  The merge arithmetic only ever sees
+    gathered float64 rows, so it is the same on every backend.
     """
 
-    def __init__(self, condensed: np.ndarray | CondensedStore, n: int) -> None:
+    def __init__(self, working: CondensedStore, n: int) -> None:
         self.n = n
         self.offsets = condensed_offsets(n)
-        if isinstance(condensed, np.ndarray):
-            self.working: np.ndarray | CondensedStore = condensed.copy()
-            self._view: np.ndarray | None = self.working
-        else:
-            self.working = condensed
-            self._view = condensed.array_view()
+        self.working = working
         self.active = np.ones(n, dtype=bool)
         self.sizes = np.ones(n, dtype=np.int64)
         # inf where retired, 0.0 where active: adding it to a gathered row
@@ -112,34 +102,9 @@ class _Workspace:
         np.add(self.offsets[index + 1 :], index, out=tail)
         return tail
 
-    def value_at(self, position: int) -> float:
-        """One condensed working entry."""
-        if self._view is not None:
-            return float(self._view[position])
-        return float(self.working.read(position, position + 1)[0])
-
-    def values_at(self, positions: np.ndarray) -> np.ndarray:
-        """Working entries at ``positions`` (the Anderberg column reads)."""
-        if self._view is not None:
-            return self._view[positions]
-        return self.working.gather(positions)
-
-    def write_span(self, start: int, values: np.ndarray) -> None:
-        if self._view is not None:
-            self._view[start : start + values.size] = values
-        else:
-            self.working.write(start, values)
-
-    def scatter(self, positions: np.ndarray, values: np.ndarray) -> None:
-        if self._view is not None:
-            self._view[positions] = values
-        else:
-            self.working.scatter(positions, values)
-
     def close(self) -> None:
-        """Release an owned working store (no-op on the dense path)."""
-        if isinstance(self.working, CondensedStore):
-            self.working.close()
+        """Release the owned working store."""
+        self.working.close()
 
     def gather_row(self, index: int, out: np.ndarray) -> np.ndarray:
         """Row ``index`` of the square, read off the condensed vector
@@ -158,9 +123,11 @@ class _Workspace:
         the raw merge height (squared scale for Ward).
         """
         sizes = self.sizes
-        height = self.value_at(int(self.offsets[j]) + i)
         d_ik = self.gather_row(i, self._row_i)
         d_jk = self.gather_row(j, self._row_j)
+        # d(j, i) sits in row j's below-diagonal slice (i < j); read it
+        # before the in-place arithmetic below overwrites the row.
+        height = float(d_jk[i])
 
         size_i = int(sizes[i])
         size_j = int(sizes[j])
@@ -190,10 +157,9 @@ class _Workspace:
 
         # Unmasked write-back: the diagonal entry has no condensed slot,
         # and retired pairs' slots may take garbage (never read again).
-        start = int(self.offsets[i])
-        self.write_span(start, updated[:i])
+        self.working.write(int(self.offsets[i]), updated[:i])
         if i + 1 < self.n:
-            self.scatter(self._tail_positions(i), updated[i + 1 :])
+            self.working.scatter(self._tail_positions(i), updated[i + 1 :])
         self.active[j] = False
         self.inactive_inf[j] = np.inf
         sizes[i] = size_i + size_j
@@ -277,7 +243,7 @@ def _argmin_pairs(
             nn_distance[row] = np.inf
             nn_partner[row] = -1
             return
-        values = workspace.values_at(offsets[partners] + row)
+        values = workspace.working.gather(offsets[partners] + row)
         best = int(np.argmin(values))
         nn_distance[row] = values[best]
         nn_partner[row] = int(partners[best])
@@ -295,7 +261,7 @@ def _argmin_pairs(
         nn_partner[j] = -1
         if i > 0:
             rows = np.flatnonzero(active[:i])
-            fresh = workspace.values_at(offsets[i] + rows)
+            fresh = workspace.working.gather(offsets[i] + rows)
             cached_partner = nn_partner[rows]
             stale = (cached_partner == i) | (cached_partner == j)
             better = ~stale & (
@@ -381,7 +347,7 @@ def _replay(
 def _spawn_working(
     source: CondensedStore, method: LinkageMethod
 ) -> CondensedStore:
-    """Pristine working copy of a sharded condensed vector.
+    """Pristine working copy of a condensed vector (squared for Ward).
 
     The working store gets a cache budget covering every block: the merge
     loop revisits all rows constantly, and an undersized cache would turn
@@ -390,16 +356,14 @@ def _spawn_working(
     buffers) -- half the square-matrix footprint, and the source matrix's
     own cache budget still holds for every other consumer.
     """
-    working = source.spawn(
-        source.size,
-        cache_bytes=source.size * 8 + source.block_entries * 8,
-    )
-    for start, stop in source.block_ranges():
+
+    def fill(start: int, stop: int) -> np.ndarray:
         block = source.read(start, stop)
-        if method is LinkageMethod.WARD:
-            block = block ** 2
-        working.write(start, block)
-    return working
+        return block ** 2 if method is LinkageMethod.WARD else block.copy()
+
+    return source.spawn_filled(
+        source.size, fill, cache_bytes=source.size * 8 + source.block_entries * 8
+    )
 
 
 def _emit(
@@ -450,24 +414,12 @@ def agglomerative(
     if n == 1:
         return Dendrogram(1, [])
 
-    values = matrix.store.array_view()
-    if values is not None:
-        condensed = np.array(values, dtype=np.float64)
-        if method is LinkageMethod.WARD:
-            condensed = condensed ** 2
-        ordered_values = np.sort(condensed)
-        has_ties = bool(np.any(ordered_values[1:] == ordered_values[:-1]))
+    ready = [_spawn_working(matrix.store, method)]
+    has_ties = condensed_has_duplicates(ready[0])
 
-        def make() -> _Workspace:
-            return _Workspace(condensed, n)
-
-    else:
-        ready = [_spawn_working(matrix.store, method)]
-        has_ties = condensed_has_duplicates(ready[0])
-
-        def make() -> _Workspace:
-            working = ready.pop() if ready else _spawn_working(matrix.store, method)
-            return _Workspace(working, n)
+    def make() -> _Workspace:
+        working = ready.pop() if ready else _spawn_working(matrix.store, method)
+        return _Workspace(working, n)
 
     if has_ties:
         workspace = make()

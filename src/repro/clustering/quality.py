@@ -10,12 +10,15 @@ Two families:
   reproduction experiments to quantify the paper's zero-accuracy-loss
   claim; no protocol component reads ground truth.
 
-Every metric here is a condensed-array formulation: per-pair cluster
-labels are gathered once over the condensed vector and reduced with
-``np.bincount`` / boolean masks, replacing the seed's nested Python
-loops (preserved in :mod:`repro.clustering.reference`, which the
-equivalence suite holds these to within 1e-9 -- exactly, for the
-integer-valued pair counts).
+Every metric here is a condensed-array formulation: the condensed
+vector streams block by block off the matrix's store, per-pair cluster
+labels come from each block's pair indices, and the reductions are
+``np.add.at`` / ``np.bincount`` / boolean masks, replacing the seed's
+nested Python loops (preserved in :mod:`repro.clustering.reference`,
+which the equivalence suite holds these to within 1e-9 -- exactly, for
+the integer-valued pair counts).  Every accumulator adds its terms in
+ascending condensed position whatever the block size, so each metric
+is bit-identical across backends.
 """
 
 from __future__ import annotations
@@ -26,9 +29,7 @@ import numpy as np
 
 from repro.distance.dissimilarity import (
     DissimilarityMatrix,
-    condensed_pair_indices,
-    condensed_unravel,
-    same_label_mask,
+    condensed_span_indices,
 )
 from repro.exceptions import ClusteringError
 
@@ -44,15 +45,6 @@ def _validate_labels(matrix: DissimilarityMatrix | None, labels: Sequence[int]) 
     return labels
 
 
-def _pair_label_codes(
-    matrix: DissimilarityMatrix, labels: list[int]
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(sorted unique labels, per-object codes, per-pair row codes, col codes)."""
-    unique, codes = np.unique(np.asarray(labels), return_inverse=True)
-    i, j = condensed_pair_indices(matrix.num_objects)
-    return unique, codes, codes[i], codes[j]
-
-
 # -- internal metrics ---------------------------------------------------------
 
 
@@ -63,32 +55,19 @@ def average_square_distance(matrix: DissimilarityMatrix, labels: Sequence[int]) 
     singleton clusters report 0.0.
     """
     labels = _validate_labels(matrix, labels)
-    values = matrix.store.array_view()
-    if values is not None:
-        unique, _, row_codes, col_codes = _pair_label_codes(matrix, labels)
-        same = row_codes == col_codes
+    unique, codes = np.unique(np.asarray(labels), return_inverse=True)
+    # np.add.at into one accumulator adds per-cluster terms in ascending
+    # position order across blocks, so this published statistic does not
+    # depend on the block size.
+    sums = np.zeros(unique.size, dtype=np.float64)
+    counts = np.zeros(unique.size, dtype=np.int64)
+    for start, stop in matrix.store.block_ranges():
+        i, j = condensed_span_indices(start, stop)
+        row_codes = codes[i]
+        same = row_codes == codes[j]
         cluster_of_pair = row_codes[same]
-        sums = np.bincount(
-            cluster_of_pair, weights=values[same] ** 2, minlength=unique.size
-        )
-        counts = np.bincount(cluster_of_pair, minlength=unique.size)
-    else:
-        # Streamed: np.add.at into one accumulator over ascending blocks
-        # adds per-cluster terms in the same order as the full bincount,
-        # so this published statistic stays bit-identical on float64
-        # sharded backends.
-        unique, codes = np.unique(np.asarray(labels), return_inverse=True)
-        sums = np.zeros(unique.size, dtype=np.float64)
-        counts = np.zeros(unique.size, dtype=np.int64)
-        for start, stop in matrix.store.block_ranges():
-            i, j = condensed_unravel(np.arange(start, stop, dtype=np.int64))
-            row_codes, col_codes = codes[i], codes[j]
-            same = row_codes == col_codes
-            cluster_of_pair = row_codes[same]
-            np.add.at(
-                sums, cluster_of_pair, matrix.store.read(start, stop)[same] ** 2
-            )
-            counts += np.bincount(cluster_of_pair, minlength=unique.size)
+        np.add.at(sums, cluster_of_pair, matrix.store.read(start, stop)[same] ** 2)
+        counts += np.bincount(cluster_of_pair, minlength=unique.size)
     return {
         int(cluster): (float(total / count) if count else 0.0)
         for cluster, total, count in zip(unique, sums, counts)
@@ -107,26 +86,18 @@ def silhouette_score(matrix: DissimilarityMatrix, labels: Sequence[int]) -> floa
     if k < 2:
         raise ClusteringError("silhouette requires at least two clusters")
     n = matrix.num_objects
-    values = matrix.store.array_view()
-    if values is not None:
-        i, j = condensed_pair_indices(n)
-        row_codes, col_codes = codes[i], codes[j]
-        # cluster_sums[p, c]: total distance from object p to cluster c's members.
-        cluster_sums = (
-            np.bincount(i * k + col_codes, weights=values, minlength=n * k)
-            + np.bincount(j * k + row_codes, weights=values, minlength=n * k)
-        ).reshape(n, k)
-    else:
-        # Streamed twin of the bincount pair: same accumulators, same
-        # addend order (ascending condensed positions), bit-identical.
-        row_sums = np.zeros(n * k, dtype=np.float64)
-        col_sums = np.zeros(n * k, dtype=np.float64)
-        for start, stop in matrix.store.block_ranges():
-            i, j = condensed_unravel(np.arange(start, stop, dtype=np.int64))
-            block = matrix.store.read(start, stop)
-            np.add.at(row_sums, i * k + codes[j], block)
-            np.add.at(col_sums, j * k + codes[i], block)
-        cluster_sums = (row_sums + col_sums).reshape(n, k)
+    # row_sums / col_sums accumulate each pair from its row / column
+    # object's side, in ascending condensed position whatever the block
+    # size; cluster_sums[p, c] is the total distance from object p to
+    # cluster c's members.
+    row_sums = np.zeros(n * k, dtype=np.float64)
+    col_sums = np.zeros(n * k, dtype=np.float64)
+    for start, stop in matrix.store.block_ranges():
+        i, j = condensed_span_indices(start, stop)
+        block = matrix.store.read(start, stop)
+        np.add.at(row_sums, i * k + codes[j], block)
+        np.add.at(col_sums, j * k + codes[i], block)
+    cluster_sums = (row_sums + col_sums).reshape(n, k)
     counts = np.bincount(codes, minlength=k)
     objects = np.arange(n)
     own_count = counts[codes]
@@ -154,20 +125,12 @@ def dunn_index(matrix: DissimilarityMatrix, labels: Sequence[int]) -> float:
     arr = np.asarray(labels)
     if np.unique(arr).size < 2:
         raise ClusteringError("Dunn index requires at least two clusters")
-    values = matrix.store.array_view()
-    if values is not None:
-        same = same_label_mask(arr)
-        within = values[same]
-        max_within = float(within.max()) if within.size else 0.0
-        if max_within == 0.0:
-            return float("inf")
-        return float(values[~same].min()) / max_within
-    # Streamed: min/max are exactly associative, so block-wise extrema
-    # reproduce the dense answer bit-for-bit.
+    # min/max are exactly associative, so block-wise extrema do not
+    # depend on the block size.
     max_within = -np.inf
     min_between = np.inf
     for start, stop in matrix.store.block_ranges():
-        i, j = condensed_unravel(np.arange(start, stop, dtype=np.int64))
+        i, j = condensed_span_indices(start, stop)
         same = arr[i] == arr[j]
         block = matrix.store.read(start, stop)
         if np.any(same):

@@ -51,11 +51,7 @@ class ProtocolSuiteConfig:
         Ordering policy of the construction scheduler
         (:data:`repro.core.scheduler.SCHEDULE_POLICIES`).
         ``"sequential"`` replays the seed's exact global message order
-        (byte-identical sealed transcripts); ``"interleaved"`` overlaps
-        local-matrix transfers and comparison rounds across attributes
-        and holder pairs -- identical protocol messages and byte counts,
-        frames just ride the channels in a pipelined order;
-        ``"parallel"`` executes independent steps on a real worker pool
+        (byte-identical sealed transcripts); ``"parallel"`` executes independent steps on a real worker pool
         (``SessionConfig.max_workers`` threads) with bit-identical final
         matrices, dendrograms and medoids for any worker count.
     link_latency:
@@ -93,14 +89,15 @@ class ProtocolSuiteConfig:
         ``False`` preserves fail-fast behaviour.
     store_backend:
         Storage backend for the third party's dissimilarity matrices
-        (``"memory"`` | ``"float32"`` | ``"memmap"``); ``None`` defers to
-        the ``REPRO_STORE_BACKEND`` environment default.  The float64
-        memmap backend is bit-identical to in-memory end to end
-        (matrices, dendrograms, medoids, wire bytes); float32 trades
-        half the storage for one rounding per stored value.
+        (``"memory"`` | ``"memmap"``); ``None`` defers to the
+        ``REPRO_STORE_BACKEND`` environment default.  Both store float64
+        and run the same block-streamed code, so memmap is bit-identical
+        to in-memory end to end (matrices, dendrograms, medoids, wire
+        bytes).
     store_block_entries:
-        Entries per row-block shard / streaming granularity (``None``:
-        environment or module default).
+        Entries per memmap row-block shard, its streaming granularity
+        (``None``: environment or module default; the in-memory store
+        is always one block).
     store_cache_bytes:
         LRU byte budget for resident memmap blocks (``None``:
         environment or module default).

@@ -15,8 +15,8 @@ then normalises the completed matrix into [0, 1] (Figure 11 step 4).
 Since the transport PR this sequence is expressed as a step graph and
 executed by :class:`repro.core.scheduler.ConstructionScheduler`: the
 ``"sequential"`` policy replays the seed's exact order, while
-``"interleaved"`` overlaps local-matrix transfers, protocol rounds and
-TP block-writes across attributes and holder pairs.  These functions are
+``"parallel"`` runs independent local-matrix transfers, protocol rounds
+and TP block-writes on a worker pool.  These functions are
 the deterministic drivers over the in-process parties; they perform no
 unmasking or maths themselves.
 """

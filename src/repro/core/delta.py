@@ -134,11 +134,10 @@ def construct_attributes_delta(
     """Run the delta rounds for one ingest epoch under one schedule.
 
     The same step-graph executor as the full construction drives the
-    delta: ``"sequential"`` replays registration order, ``"interleaved"``
-    overlaps local tails and sub-column protocol rounds across attributes
-    and holder pairs, and ``"parallel"`` executes them on the scheduler's
-    ``max_workers``-thread pool -- so ingest epochs parallelize exactly
-    like initial construction.  Returns the realized step schedule (or a
+    delta: ``"sequential"`` replays registration order, and
+    ``"parallel"`` executes local tails and sub-column protocol rounds on
+    the scheduler's ``max_workers``-thread pool -- so ingest epochs
+    parallelize exactly like initial construction.  Returns the realized step schedule (or a
     :class:`~repro.core.scheduler.ConstructionOutcome` when
     ``tolerate_faults`` -- same contract as
     :func:`repro.core.construction.construct_attributes`).

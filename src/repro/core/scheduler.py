@@ -11,15 +11,11 @@ matrix, initiate, respond, absorb a block, finalize) with explicit
 dependencies, and executes any interleaving the dependency graph and the
 FIFO network admit.
 
-Three ordering policies ship:
+Two ordering policies ship:
 
 * ``"sequential"`` replays the seed's exact global order -- on sealed
   channels every wire byte, including each frame's position in the
   per-channel nonce stream, is byte-identical to the seed transcript.
-* ``"interleaved"`` runs wave-by-wave across attributes and holder
-  pairs: all local-matrix transfers are in flight before the comparison
-  rounds drain them, and every pair's protocol run overlaps with every
-  other's -- still on one thread, so the concurrency is simulated.
 * ``"parallel"`` executes runnable steps on a real
   :class:`~concurrent.futures.ThreadPoolExecutor` (``max_workers``
   threads).  The numpy-heavy protocol steps release the GIL, so
@@ -79,14 +75,14 @@ from repro.parties.third_party import ThirdParty
 from repro.types import AttributeType
 
 #: Ordering policies accepted by :class:`ConstructionScheduler`.
-SCHEDULE_POLICIES = ("sequential", "interleaved", "parallel")
+SCHEDULE_POLICIES = ("sequential", "parallel")
 
 #: Failures a fault-tolerant run degrades on (everything else still
 #: aborts: a wrong matrix is never an acceptable degradation).
 _FAULT_ERRORS = (PartyCrashError, LaneTimeoutError)
 
-# Wave ranks for the interleaved policy: steps of one wave across all
-# attributes and pairs are eligible before the next wave starts draining.
+# Wave ranks for the parallel policy's submission order: steps of one wave
+# across all attributes and pairs are submitted before the next wave's.
 _SEND_LOCAL, _RECV_LOCAL, _INITIATE, _RESPOND, _RECV_BLOCK, _FINALIZE = range(6)
 
 
@@ -251,9 +247,9 @@ class ConstructionScheduler:
         if self.policy == "sequential":
             order: tuple = (self._seq,)
         else:
-            # interleaved and parallel share the wave priority: for the
-            # executor it is the submission order among ready steps, which
-            # front-loads sends so receives find their lanes populated.
+            # The parallel executor submits ready steps in this order,
+            # which front-loads sends so receives find their lanes
+            # populated.
             order = (wave, lane, self._attr_index, self._seq)
         self._seq += 1
         self._names.add(name)
@@ -686,8 +682,8 @@ class ConstructionScheduler:
     def run(self) -> list[str] | ConstructionOutcome:
         """Execute every step; returns the realized schedule (step names).
 
-        The serial policies always run the lowest-ordered runnable step,
-        so execution is deterministic for a given policy.  The
+        The ``"sequential"`` policy always runs the lowest-ordered
+        runnable step, so its execution is deterministic.  The
         ``"parallel"`` policy executes steps on worker threads as their
         dependencies complete; its realized trace is completion order
         (informational -- every *result* is bit-identical regardless).

@@ -12,23 +12,24 @@ representation of what the third party actually materialises.  Pair
 row-major over Figure 2's filled entries.
 
 Storage is delegated to a :class:`~repro.distance.store.CondensedStore`
-backend (in-memory float64 by default; float32 and memory-mapped
-row-block shards for out-of-core scale).  Every operation asks the
-backend for :meth:`~repro.distance.store.CondensedStore.array_view`
-first: when that returns an ndarray (the in-memory backend) the
-historical numpy expressions run on it verbatim -- bit-identical to the
-pre-backend code -- and otherwise the same operation streams block-wise
-through the store, so no consumer algorithm changes per backend.
+backend (in-memory float64 by default, memory-mapped row-block shards
+for out-of-core scale).  Every operation has one implementation: it
+streams block-wise through the store's ``read``/``write``/``gather``/
+``scatter``.  The in-memory store is a single block, so there the loop
+runs once over the whole vector, and no consumer algorithm changes per
+backend.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Sequence
 
 import numpy as np
 
 from repro.distance.store import (
     CondensedStore,
+    InMemoryStore,
     StoreSpec,
     open_store,
 )
@@ -40,8 +41,14 @@ from repro.exceptions import ClusteringError, ConfigurationError
 # Free functions over the condensed layout (pair (i, j), i > j, at position
 # i*(i-1)/2 + j).  The clustering layer runs directly on condensed vectors
 # through these, so the O(n^2)-memory algorithms never materialise a square.
-# Value-carrying primitives accept either a plain ndarray or a
-# CondensedStore and stream in the latter case.
+# Value-carrying primitives take a CondensedStore; a plain float64 ndarray
+# is wrapped in an InMemoryStore (in place, no copy) on entry.
+
+
+def _as_store(values: np.ndarray | CondensedStore) -> CondensedStore:
+    if isinstance(values, CondensedStore):
+        return values
+    return InMemoryStore(values)
 
 
 def condensed_size(num_objects: int) -> int:
@@ -65,12 +72,11 @@ def condensed_position(i, j):
 def condensed_unravel(positions) -> tuple[np.ndarray, np.ndarray]:
     """Pair indices ``(i, j)``, ``i > j``, of condensed position(s).
 
-    The inverse of :func:`condensed_position`: a float sqrt solve with an
-    integer correction pass, exact at any position a float64 sqrt can
-    land within one row of (guarded both ways).  This is what lets
-    block-wise streams recover pair structure from a span of positions
-    without materialising :func:`condensed_pair_indices` for the whole
-    triangle.
+    The inverse of :func:`condensed_position` for arbitrary positions
+    (the ties of :func:`condensed_argmin`, say): a float sqrt solve with
+    an integer correction pass, exact at any position a float64 sqrt can
+    land within one row of (guarded both ways).  Contiguous spans use
+    the cheaper :func:`condensed_span_indices`.
     """
     positions = np.asarray(positions, dtype=np.int64)
     rows = (1 + np.sqrt(1 + 8 * positions.astype(np.float64))) // 2
@@ -123,31 +129,16 @@ def condensed_row_gather(
     Hot loops (the NN-chain clustering path) amortise allocation by
     passing a preallocated ``out`` (length ``num_objects``, the row) and
     ``scratch`` (length ``num_objects``, int64, workspace for the
-    above-diagonal gather positions).  ``values`` may be a
-    :class:`~repro.distance.store.CondensedStore`, in which case the
-    below-diagonal part is one contiguous block read and the tail one
-    ascending grouped gather.
+    above-diagonal gather positions).  The below-diagonal part is one
+    contiguous store read and the tail one ascending grouped gather.
     """
+    store = _as_store(values)
     if offsets is None:
         offsets = condensed_offsets(num_objects)
-    if isinstance(values, np.ndarray):
-        if out is None:
-            out = np.empty(num_objects, dtype=values.dtype)
-        start = int(offsets[index])
-        out[:index] = values[start : start + index]
-        out[index] = diagonal
-        if index + 1 < num_objects:
-            if scratch is None:
-                positions = offsets[index + 1 :] + index
-            else:
-                positions = scratch[: num_objects - index - 1]
-                np.add(offsets[index + 1 :], index, out=positions)
-            np.take(values, positions, out=out[index + 1 :])
-        return out
     if out is None:
         out = np.empty(num_objects, dtype=np.float64)
     start = int(offsets[index])
-    out[:index] = values.read(start, start + index)
+    out[:index] = store.read(start, start + index)
     out[index] = diagonal
     if index + 1 < num_objects:
         if scratch is None:
@@ -155,7 +146,7 @@ def condensed_row_gather(
         else:
             positions = scratch[: num_objects - index - 1]
             np.add(offsets[index + 1 :], index, out=positions)
-        values.gather(positions, out=out[index + 1 :])
+        store.gather(positions, out=out[index + 1 :])
     return out
 
 
@@ -175,10 +166,7 @@ def condensed_row_scatter(
         where = np.ones(num_objects, dtype=bool)
     mask = where.copy()
     mask[index] = False
-    if isinstance(values, np.ndarray):
-        values[pos[mask]] = row[mask]
-    else:
-        values.scatter(pos[mask], row[mask])
+    _as_store(values).scatter(pos[mask], row[mask])
 
 
 def condensed_argmin(
@@ -189,28 +177,23 @@ def condensed_argmin(
     Ties break exactly like ``np.argmin`` over the corresponding square
     matrix: the smallest ``(min(i, j), max(i, j))`` in lexicographic order
     -- the rule the seed agglomerative loop used, preserved so condensed
-    consumers stay merge-for-merge deterministic.  For a store backend
-    the scan streams block-wise: a min pass, then a tie-collection pass
-    at the exact minimum, then the identical tie-break -- the selected
-    pair is bit-for-bit the in-memory answer.
+    consumers stay merge-for-merge deterministic.  The scan streams
+    block-wise: a min pass, then a tie-collection pass at the exact
+    minimum, then the tie-break -- so the selected pair does not depend
+    on the store's block size.
     """
-    if isinstance(values, np.ndarray):
-        if values.size == 0:
-            raise ClusteringError("condensed argmin needs at least one pair")
-        minimum = values.min()
-        ties = np.flatnonzero(values == minimum)
-    else:
-        if values.size == 0:
-            raise ClusteringError("condensed argmin needs at least one pair")
-        minimum = np.inf
-        for start, stop in values.block_ranges():
-            minimum = min(minimum, float(values.read(start, stop).min()))
-        tie_spans = []
-        for start, stop in values.block_ranges():
-            local = np.flatnonzero(values.read(start, stop) == minimum)
-            if local.size:
-                tie_spans.append(local + start)
-        ties = np.concatenate(tie_spans)
+    store = _as_store(values)
+    if store.size == 0:
+        raise ClusteringError("condensed argmin needs at least one pair")
+    minimum = np.inf
+    for start, stop in store.block_ranges():
+        minimum = min(minimum, float(store.read(start, stop).min()))
+    tie_spans = []
+    for start, stop in store.block_ranges():
+        local = np.flatnonzero(store.read(start, stop) == minimum)
+        if local.size:
+            tie_spans.append(local + start)
+    ties = np.concatenate(tie_spans)
     rows, cols = condensed_unravel(ties)
     best = np.lexsort((rows, cols))[0]
     return int(rows[best]), int(cols[best])
@@ -228,28 +211,28 @@ def condensed_has_duplicates(
 ) -> bool:
     """Whether any two condensed entries hold the same value.
 
-    The in-memory answer is one sort plus an adjacent compare.  For a
-    store backend the same *boolean* is computed without materialising
-    the vector: values are partitioned by a hash of their (zero-
-    canonicalised) IEEE bit pattern into groups sized to ``budget_bytes``
-    and each group is sorted separately -- identical values share a bit
-    pattern, hence a group, so no duplicate can hide across groups.  The
-    linkage layer's tie check uses this, keeping NN-chain vs cached-
-    argmin path selection identical across backends.
+    Each block is sorted and adjacent-compared once; for a single-block
+    store that is the whole answer.  Across several blocks the same
+    *boolean* is computed without materialising the vector: values are
+    partitioned by a hash of their (zero-canonicalised) IEEE bit pattern
+    into groups sized to ``budget_bytes`` and each group is sorted
+    separately -- identical values share a bit pattern, hence a group,
+    so no duplicate can hide across groups.  The linkage layer's tie
+    check uses this, keeping NN-chain vs cached-argmin path selection
+    identical across backends.
     """
-    if isinstance(values, np.ndarray):
-        if values.size < 2:
-            return False
-        ordered = np.sort(values)
-        return bool(np.any(ordered[1:] == ordered[:-1]))
-    size = values.size
+    store = _as_store(values)
+    size = store.size
     if size < 2:
         return False
-    groups = max(1, -(-(size * 8) // budget_bytes))
+    if size <= store.block_entries:
+        groups = 1
+    else:
+        groups = max(1, -(-(size * 8) // budget_bytes))
     for group in range(groups):
         parts = []
-        for start, stop in values.block_ranges():
-            block = values.read(start, stop)
+        for start, stop in store.block_ranges():
+            block = store.read(start, stop)
             if group == 0:
                 # Local duplicates resolve without any partitioning work.
                 local = np.sort(block)
@@ -298,6 +281,30 @@ def condensed_tail_indices(
     return i, j
 
 
+def condensed_span_indices(start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pair indices ``(i, j)`` of the condensed positions ``[start, stop)``.
+
+    How the block-wise streams recover pair structure.  A span covers
+    whole rows of the triangle except possibly its first and last, so
+    this is :func:`condensed_tail_indices` over the covered rows with
+    the two partial ends trimmed: integer arithmetic at O(span + rows)
+    cost, where :func:`condensed_unravel` pays a float square root per
+    position.
+    """
+    if stop <= start:
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
+    first = _row_of(start)
+    i, j = condensed_tail_indices(first, _row_of(stop - 1) + 1)
+    skip = start - first * (first - 1) // 2
+    return i[skip : skip + stop - start], j[skip : skip + stop - start]
+
+
+def _row_of(position: int) -> int:
+    """Row ``i`` of the pair at one condensed position (exact integer solve)."""
+    return (1 + math.isqrt(8 * position + 1)) // 2
+
+
 def same_label_mask(labels: Sequence[int]) -> np.ndarray:
     """Condensed boolean mask: True where a pair's objects share a label."""
     arr = np.asarray(labels)
@@ -319,9 +326,12 @@ class DissimilarityMatrix:
     in through :meth:`repro.core.config.ProtocolSuiteConfig.store_spec`,
     so it re-points the session-owned matrices (the third party's
     attribute and merged matrices -- the ones that scale with n) while
-    transient construction-time matrices stay exact float64 regardless.
-    Matrices derived from an existing one (copies, normalisations,
-    submatrices, grown or shrunk epochs) inherit their source's backend.
+    transient construction-time matrices (the holders' local matrices,
+    for one) stay in memory: giving every short-lived matrix its own
+    shard directory would cost file creation and page faults and save
+    no memory.  Matrices derived from an existing one (copies,
+    normalisations, submatrices, grown or shrunk epochs) inherit their
+    source's backend.
     """
 
     def __init__(
@@ -426,36 +436,28 @@ class DissimilarityMatrix:
 
     @property
     def store(self) -> CondensedStore:
-        """The storage backend.  Algorithms use this to dispatch: a
-        non-``None`` :meth:`~repro.distance.store.CondensedStore.array_view`
-        is the dense fast path, otherwise they stream block-wise."""
+        """The storage backend, which algorithms stream block-wise."""
         return self._store
 
     @property
     def store_kind(self) -> str:
-        """Backend name (``memory`` | ``float32`` | ``memmap``)."""
+        """Backend name (``memory`` | ``memmap``)."""
         return self._store.kind
 
     @property
     def condensed(self) -> np.ndarray:
         """The strict lower triangle, Figure 2 order (read-only).
 
-        A zero-copy view for the in-memory backend; sharded backends
-        materialise a fresh array, so large-scale consumers should
-        stream through :meth:`read_condensed` /
-        :attr:`store` instead.
+        A view of the storage on the in-memory backend; the memmap
+        backend materialises the whole vector, so large-scale consumers
+        should stream through :meth:`read_condensed` / :attr:`store`
+        instead.
         """
-        view = self._store.array_view()
-        if view is not None:
-            view = view.view()
-            view.flags.writeable = False
-            return view
-        full = self._store.read(0, condensed_size(self._n))
-        full.flags.writeable = False
-        return full
+        return self._store.read(0, condensed_size(self._n))
 
     def read_condensed(self, start: int, stop: int) -> np.ndarray:
-        """One condensed span ``[start, stop)`` as a fresh float64 array."""
+        """One condensed span ``[start, stop)``, read-only (see
+        :meth:`~repro.distance.store.CondensedStore.read`)."""
         if not 0 <= start <= stop <= condensed_size(self._n):
             raise ConfigurationError(
                 f"condensed span [{start}, {stop}) out of range"
@@ -497,9 +499,6 @@ class DissimilarityMatrix:
         i, j = self._check_pair(*pair)
         if i == j:
             return 0.0
-        values = self._store.array_view()
-        if values is not None:
-            return float(values[self._position(i, j)])
         position = self._position(i, j)
         return float(self._store.read(position, position + 1)[0])
 
@@ -511,13 +510,7 @@ class DissimilarityMatrix:
             return
         if value < 0 or not np.isfinite(value):
             raise ConfigurationError(f"invalid distance value {value}")
-        values = self._store.array_view()
-        if values is not None:
-            values[self._position(i, j)] = value
-        else:
-            self._store.write(
-                self._position(i, j), np.array([value], dtype=np.float64)
-            )
+        self._store.write(self._position(i, j), np.array([value], dtype=np.float64))
 
     def set_block(self, rows: Sequence[int], cols: Sequence[int], block: np.ndarray) -> None:
         """Assign a rectangular cross-site block.
@@ -553,11 +546,7 @@ class DissimilarityMatrix:
         if np.any(block < 0) or np.any(~np.isfinite(block)):
             raise ConfigurationError("block distances must be non-negative and finite")
         positions = condensed_position(row_idx[:, None], col_idx[None, :])
-        values = self._store.array_view()
-        if values is not None:
-            values[positions] = block
-        else:
-            self._store.scatter(positions, block)
+        self._store.scatter(positions, block)
 
     def cross_block(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
         """Read a rectangular block as one fancy-indexed condensed gather.
@@ -580,11 +569,7 @@ class DissimilarityMatrix:
             return block
         off_diagonal = row_idx[:, None] != col_idx[None, :]
         positions = condensed_position(row_idx[:, None], col_idx[None, :])
-        values = self._store.array_view()
-        if values is not None:
-            block[off_diagonal] = values[positions[off_diagonal]]
-        else:
-            block[off_diagonal] = self._store.gather(positions[off_diagonal])
+        block[off_diagonal] = self._store.gather(positions[off_diagonal])
         return block
 
     # -- whole-matrix operations ----------------------------------------------
@@ -592,13 +577,9 @@ class DissimilarityMatrix:
     def to_square(self) -> np.ndarray:
         """Full symmetric square matrix (copies)."""
         square = np.zeros((self._n, self._n), dtype=np.float64)
-        values = self._store.array_view()
-        if values is not None:
-            square[np.tril_indices(self._n, -1)] = values
-        else:
-            for start, stop in self._store.block_ranges():
-                i, j = condensed_unravel(np.arange(start, stop, dtype=np.int64))
-                square[i, j] = self._store.read(start, stop)
+        for start, stop in self._store.block_ranges():
+            i, j = condensed_span_indices(start, stop)
+            square[i, j] = self._store.read(start, stop)
         return square + square.T
 
     def to_scipy_condensed(self) -> np.ndarray:
@@ -608,19 +589,12 @@ class DissimilarityMatrix:
         ``scipy.cluster.hierarchy``.
         """
         i, j = np.triu_indices(self._n, 1)
-        positions = condensed_position(i, j)
-        values = self._store.array_view()
-        if values is not None:
-            return values[positions]
-        return self._store.gather(positions)
+        return self._store.gather(condensed_position(i, j))
 
     def max_value(self) -> float:
         """Largest pairwise distance (the Figure 11 normaliser)."""
         if self._store.size == 0:
             return 0.0
-        values = self._store.array_view()
-        if values is not None:
-            return float(values.max())
         peak = -np.inf
         for start, stop in self._store.block_ranges():
             peak = max(peak, float(self._store.read(start, stop).max()))
@@ -634,15 +608,9 @@ class DissimilarityMatrix:
         peak = self.max_value()
         if peak == 0.0:
             return self.copy()
-        values = self._store.array_view()
-        if values is not None:
-            return DissimilarityMatrix._adopt(
-                self._n, self._store.adopt(values / peak)
-            )
-        fresh = self._store.spawn(self._store.size)
-        for start, stop in fresh.block_ranges():
-            fresh.write(start, self._store.read(start, stop) / peak)
-        return DissimilarityMatrix._adopt(self._n, fresh)
+        return self._derived(
+            self._n, lambda start, stop: self._store.read(start, stop) / peak
+        )
 
     def submatrix(self, indices: Sequence[int]) -> "DissimilarityMatrix":
         """Restriction to a subset of objects, in the given order."""
@@ -656,20 +624,12 @@ class DissimilarityMatrix:
             raise ConfigurationError(
                 f"submatrix indices out of range for {self._n} objects"
             )
-        values = self._store.array_view()
-        if values is not None:
-            a, b = np.tril_indices(len(indices), -1)
-            return DissimilarityMatrix._adopt(
-                len(indices),
-                self._store.adopt(values[condensed_position(idx[a], idx[b])]),
-            )
-        fresh = self._store.spawn(condensed_size(len(indices)))
-        for start, stop in fresh.block_ranges():
-            a, b = condensed_unravel(np.arange(start, stop, dtype=np.int64))
-            fresh.write(
-                start, self._store.gather(condensed_position(idx[a], idx[b]))
-            )
-        return DissimilarityMatrix._adopt(len(indices), fresh)
+
+        def gather(start: int, stop: int) -> np.ndarray:
+            a, b = condensed_span_indices(start, stop)
+            return self._store.gather(condensed_position(idx[a], idx[b]))
+
+        return self._derived(len(indices), gather)
 
     def set_submatrix(self, indices: Sequence[int], local: "DissimilarityMatrix") -> None:
         """Scatter a small matrix onto an arbitrary subset of objects.
@@ -694,16 +654,8 @@ class DissimilarityMatrix:
             raise ConfigurationError(
                 f"submatrix indices out of range for {self._n} objects"
             )
-        if local.num_objects < 2:
-            return
-        values = self._store.array_view()
-        local_values = local._store.array_view()
-        if values is not None and local_values is not None:
-            a, b = np.tril_indices(local.num_objects, -1)
-            values[condensed_position(idx[a], idx[b])] = local_values
-            return
         for start, stop in local._store.block_ranges():
-            a, b = condensed_unravel(np.arange(start, stop, dtype=np.int64))
+            a, b = condensed_span_indices(start, stop)
             self._store.scatter(
                 condensed_position(idx[a], idx[b]), local._store.read(start, stop)
             )
@@ -714,9 +666,9 @@ class DissimilarityMatrix:
         ``new_positions`` are the rows the inserted objects occupy in the
         grown matrix; existing objects keep their relative order in the
         remaining rows.  Every pair of surviving objects keeps its exact
-        value via one condensed remap (streamed block-wise on sharded
-        backends); every pair touching an inserted object starts at 0, to
-        be filled by the delta construction (:mod:`repro.core.delta`).
+        value via one condensed remap, streamed block by block; every pair
+        touching an inserted object starts at 0, to be filled by the delta
+        construction (:mod:`repro.core.delta`).
         """
         new_positions = list(new_positions)
         if len(set(new_positions)) != len(new_positions):
@@ -733,27 +685,16 @@ class DissimilarityMatrix:
         inserted[np.asarray(new_positions, dtype=np.int64)] = True
         new_of_old = np.flatnonzero(~inserted)
         out_store = self._store.spawn(condensed_size(grown))
-        out = DissimilarityMatrix._adopt(grown, out_store)
-        if self._n >= 2:
-            values = self._store.array_view()
-            out_values = out_store.array_view()
-            if values is not None and out_values is not None:
-                i, j = condensed_pair_indices(self._n)
-                # The map old->new is strictly increasing, so i > j survives
-                # remapping and the condensed slot is direct arithmetic (no
-                # per-pair max/min) -- this runs on every ingest epoch.
-                upper = new_of_old[i]
-                targets = upper * (upper - 1) // 2
-                targets += new_of_old[j]
-                out_values[targets] = values
-            else:
-                for start, stop in self._store.block_ranges():
-                    i, j = condensed_unravel(np.arange(start, stop, dtype=np.int64))
-                    upper = new_of_old[i]
-                    targets = upper * (upper - 1) // 2
-                    targets += new_of_old[j]
-                    out_store.scatter(targets, self._store.read(start, stop))
-        return out
+        for start, stop in self._store.block_ranges():
+            i, j = condensed_span_indices(start, stop)
+            # The map old->new is strictly increasing, so i > j survives
+            # remapping and the condensed slot is direct arithmetic (no
+            # per-pair max/min) -- this runs on every ingest epoch.
+            upper = new_of_old[i]
+            targets = upper * (upper - 1) // 2
+            targets += new_of_old[j]
+            out_store.scatter(targets, self._store.read(start, stop))
+        return DissimilarityMatrix._adopt(grown, out_store)
 
     def remove_objects(self, positions: Sequence[int]) -> "DissimilarityMatrix":
         """Shrunk matrix without the given objects (surviving order kept).
@@ -790,16 +731,8 @@ class DissimilarityMatrix:
                 f"diagonal block [{offset}, {offset + size}) out of range "
                 f"for {self._n} objects"
             )
-        if size < 2:
-            return
-        values = self._store.array_view()
-        local_values = local._store.array_view()
-        if values is not None and local_values is not None:
-            i, j = np.tril_indices(size, -1)
-            values[condensed_position(i + offset, j + offset)] = local_values
-            return
         for start, stop in local._store.block_ranges():
-            i, j = condensed_unravel(np.arange(start, stop, dtype=np.int64))
+            i, j = condensed_span_indices(start, stop)
             self._store.scatter(
                 condensed_position(i + offset, j + offset),
                 local._store.read(start, stop),
@@ -837,32 +770,28 @@ class DissimilarityMatrix:
         if np.any(tail < 0) or np.any(~np.isfinite(tail)):
             raise ConfigurationError("distances must be non-negative and finite")
         i, j = condensed_tail_indices(old_size, new_size)
-        positions = condensed_position(i + offset, j + offset)
-        values = self._store.array_view()
-        if values is not None:
-            values[positions] = tail
-        else:
-            self._store.scatter(positions, tail)
+        self._store.scatter(condensed_position(i + offset, j + offset), tail)
 
     def copy(self) -> "DissimilarityMatrix":
-        values = self._store.array_view()
-        if values is not None:
-            return DissimilarityMatrix._adopt(
-                self._n, self._store.adopt(values.copy())
-            )
-        fresh = self._store.spawn(self._store.size)
-        for start, stop in fresh.block_ranges():
-            fresh.write(start, self._store.read(start, stop))
-        return DissimilarityMatrix._adopt(self._n, fresh)
+        return self._derived(
+            self._n, lambda start, stop: self._store.read(start, stop).copy()
+        )
+
+    def _derived(
+        self, num_objects: int, fill: Callable[[int, int], np.ndarray]
+    ) -> "DissimilarityMatrix":
+        """A new matrix on this one's backend, each span ``[start, stop)``
+        of its condensed vector from ``fill(start, stop)`` (see
+        :meth:`~repro.distance.store.CondensedStore.spawn_filled`)."""
+        return DissimilarityMatrix._adopt(
+            num_objects,
+            self._store.spawn_filled(condensed_size(num_objects), fill),
+        )
 
     def allclose(self, other: "DissimilarityMatrix", atol: float = 1e-9) -> bool:
         """Entry-wise comparison; the zero-accuracy-loss assertions use this."""
         if self._n != other._n:
             return False
-        values = self._store.array_view()
-        other_values = other._store.array_view()
-        if values is not None and other_values is not None:
-            return bool(np.allclose(values, other_values, atol=atol))
         for start, stop in self._store.block_ranges():
             if not np.allclose(
                 self._store.read(start, stop),
@@ -877,10 +806,6 @@ class DissimilarityMatrix:
             return NotImplemented
         if self._n != other._n:
             return False
-        values = self._store.array_view()
-        other_values = other._store.array_view()
-        if values is not None and other_values is not None:
-            return bool(np.array_equal(values, other_values))
         for start, stop in self._store.block_ranges():
             if not np.array_equal(
                 self._store.read(start, stop), other._store.read(start, stop)
@@ -892,9 +817,6 @@ class DissimilarityMatrix:
         """Average pairwise distance (quality reporting)."""
         if self._store.size == 0:
             return 0.0
-        values = self._store.array_view()
-        if values is not None:
-            return float(values.mean())
         total = 0.0
         for start, stop in self._store.block_ranges():
             total += float(self._store.read(start, stop).sum())
@@ -914,8 +836,8 @@ class DissimilarityMatrix:
         first violating ``(j, i)`` block returns immediately, so a
         non-metric matrix with an early violation costs O(chunk * n)
         instead of a full O(n^3) sweep over a square copy.  Row gathers
-        go through :func:`condensed_row_gather`, which streams on store
-        backends, so the bound holds there too.
+        go through :func:`condensed_row_gather`, which streams off the
+        store, so the bound holds on every backend.
         """
         n = self._n
         if n < 3:
@@ -927,16 +849,12 @@ class DissimilarityMatrix:
         scratch = np.empty(n, dtype=np.int64)
         rows_j = np.empty((chunk_rows, n), dtype=np.float64)
         rows_i = np.empty((chunk_rows, n), dtype=np.float64)
-        values = self._store.array_view()
-        source: np.ndarray | CondensedStore = (
-            values if values is not None else self._store
-        )
         for j_start in range(0, n, chunk_rows):
             j_stop = min(n, j_start + chunk_rows)
             block_j = rows_j[: j_stop - j_start]
             for offset, j in enumerate(range(j_start, j_stop)):
                 condensed_row_gather(
-                    source, j, n, offsets, out=block_j[offset], scratch=scratch
+                    self._store, j, n, offsets, out=block_j[offset], scratch=scratch
                 )
             for i_start in range(0, n, chunk_rows):
                 i_stop = min(n, i_start + chunk_rows)
@@ -946,7 +864,7 @@ class DissimilarityMatrix:
                     block_i = rows_i[: i_stop - i_start]
                     for offset, i in enumerate(range(i_start, i_stop)):
                         condensed_row_gather(
-                            source, i, n, offsets, out=block_i[offset], scratch=scratch
+                            self._store, i, n, offsets, out=block_i[offset], scratch=scratch
                         )
                 for offset in range(j_stop - j_start):
                     via_j = (

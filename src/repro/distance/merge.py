@@ -55,20 +55,16 @@ def merge_weighted(
     if total <= 0:
         raise ConfigurationError("at least one weight must be positive")
     weights = weights / total
-    num_objects = matrices[0].num_objects
-    lead = matrices[0].store
-    views = [m.store.array_view() for m in matrices]
-    if all(view is not None for view in views):
-        combined = np.zeros_like(views[0])
-        for weight, view in zip(weights, views):
-            combined = combined + weight * view
-        return DissimilarityMatrix._adopt(num_objects, lead.adopt(combined))
-    # Streamed path: per block the accumulation order matches the dense
-    # loop addend-for-addend, so a float64 sharded merge is bit-identical.
-    fresh = lead.spawn(lead.size)
-    for start, stop in fresh.block_ranges():
+
+    def combine(start: int, stop: int) -> np.ndarray:
+        # Each entry sums its weighted terms in attribute order, so the
+        # merge is elementwise and does not depend on the block size.
         combined = np.zeros(stop - start, dtype=np.float64)
         for weight, matrix in zip(weights, matrices):
             combined = combined + weight * matrix.store.read(start, stop)
-        fresh.write(start, combined)
-    return DissimilarityMatrix._adopt(num_objects, fresh)
+        return combined
+
+    lead = matrices[0].store
+    return DissimilarityMatrix._adopt(
+        matrices[0].num_objects, lead.spawn_filled(lead.size, combine)
+    )

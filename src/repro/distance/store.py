@@ -7,35 +7,31 @@ resident float64 array caps the reachable scale at what RAM affords --
 ~40 GB at n = 10^5 -- so this module splits the storage *policy* away
 from the matrix *semantics*:
 
-* :class:`InMemoryStore` -- the seed representation, one float64 array.
-  The default, and bit-identical to the pre-backend code: the matrix
-  layer short-circuits through :meth:`CondensedStore.array_view` so the
-  exact historical numpy expressions run on the exact same array.
-* :class:`Float32Store` -- same shape, half the bytes.  Storage
-  precision only: every read upcasts to float64, every write rounds to
-  float32, so consumers always compute in float64 and the *stored*
-  rounding is the single documented source of divergence.
+* :class:`InMemoryStore` -- the seed representation, one float64 array
+  that is also the store's single block.  The default.
 * :class:`MemmapStore` -- fixed-size row-block shard files under a
   session directory, memory-mapped on demand through an LRU cache with
   a configurable byte budget and dirty-block writeback.  Evicting a
   block unmaps it, so peak RSS tracks the cache budget plus the
   caller's working buffers, not the triangle size.
 
-Every store speaks float64 at the interface: ``read``/``gather`` return
-fresh float64 arrays (never views into a shard -- eviction unmaps the
-backing pages), ``write``/``scatter`` accept float64.  Positions are
-condensed-layout indices (pair ``(i, j)``, ``i > j``, at
+Both backends store float64 and the matrix layer runs one code path
+over both, so every result is bit-identical between them.  Every store
+speaks float64 at the interface: ``read`` returns a read-only array
+(a view of the in-memory store's array; a fresh copy from the memmap
+store, never a view into a shard -- eviction unmaps the backing pages),
+``gather`` a fresh array, and ``write``/``scatter`` accept float64.
+Positions are condensed-layout indices (pair ``(i, j)``, ``i > j``, at
 ``i*(i-1)/2 + j``); a *row block* is therefore a contiguous span of the
 condensed vector, which keeps whole-row reads (one contiguous segment
 below the diagonal) single-shard-friendly.
 
 Backend selection is a :class:`StoreSpec`, resolved by default from the
-environment (``REPRO_STORE_BACKEND`` = ``memory`` | ``float32`` |
-``memmap``, plus ``REPRO_STORE_BLOCK_ENTRIES`` /
-``REPRO_STORE_CACHE_BYTES`` / ``REPRO_STORE_DIR``) so whole test suites
-and spawned party processes can be re-pointed at a backend without code
-changes; explicit specs flow through
-:class:`~repro.core.config.ProtocolSuiteConfig`.
+environment (``REPRO_STORE_BACKEND`` = ``memory`` | ``memmap``, plus
+``REPRO_STORE_BLOCK_ENTRIES`` / ``REPRO_STORE_CACHE_BYTES`` /
+``REPRO_STORE_DIR``) so whole test suites and spawned party processes
+can be re-pointed at a backend without code changes; explicit specs
+flow through :class:`~repro.core.config.ProtocolSuiteConfig`.
 """
 
 from __future__ import annotations
@@ -49,7 +45,7 @@ import weakref
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -66,7 +62,7 @@ ENV_BLOCK_ENTRIES = "REPRO_STORE_BLOCK_ENTRIES"
 ENV_CACHE_BYTES = "REPRO_STORE_CACHE_BYTES"
 ENV_DIRECTORY = "REPRO_STORE_DIR"
 
-_BACKENDS = ("memory", "float32", "memmap")
+_BACKENDS = ("memory", "memmap")
 
 #: Name of the per-store metadata file that makes a shard directory
 #: self-describing (reopenable without the creating process).
@@ -78,9 +74,9 @@ _META_FORMAT = 1
 class StoreSpec:
     """How to materialise a condensed vector: backend plus its knobs.
 
-    ``block_entries``/``cache_bytes`` only shape the memmap backend (and
-    the streaming granularity of generic block-wise code); ``directory``
-    is the *base* under which each memmap store creates its own unique
+    ``block_entries``/``cache_bytes``/``directory`` only shape the memmap
+    backend (the in-memory store is always one block); ``directory`` is
+    the *base* under which each memmap store creates its own unique
     shard directory (``None`` means the system temp dir).
     """
 
@@ -109,7 +105,7 @@ def default_store_spec() -> StoreSpec:
 
     Unset or empty variables fall back to the in-memory float64 backend
     with the module defaults -- exactly the pre-backend behaviour -- so
-    the environment is a pure opt-in override (the ``storage-matrix`` CI
+    the environment is a pure opt-in override (the ``storage-memmap`` CI
     job and spawned party processes use it to re-point whole runs).
     """
     backend = os.environ.get(ENV_BACKEND, "").strip() or "memory"
@@ -141,20 +137,16 @@ def open_store(
     filled block-wise; without, it starts at zero (free for the memmap
     backend -- shard files are created sparse).
     """
-    store: CondensedStore
     if spec.backend == "memory":
         if values is not None:
-            return InMemoryStore(np.asarray(values, dtype=np.float64))
+            return InMemoryStore(values)
         return InMemoryStore(np.zeros(size, dtype=np.float64))
-    if spec.backend == "float32":
-        store = Float32Store(size, block_entries=spec.block_entries)
-    else:
-        store = MemmapStore.create(
-            size,
-            block_entries=spec.block_entries,
-            cache_bytes=spec.cache_bytes,
-            base_directory=spec.directory,
-        )
+    store = MemmapStore.create(
+        size,
+        block_entries=spec.block_entries,
+        cache_bytes=spec.cache_bytes,
+        base_directory=spec.directory,
+    )
     if values is not None:
         values = np.asarray(values, dtype=np.float64)
         for start, stop in store.block_ranges():
@@ -166,11 +158,10 @@ class CondensedStore(ABC):
     """Storage backend for one condensed vector.
 
     The contract every :class:`~repro.distance.dissimilarity.DissimilarityMatrix`
-    operation is written against: the matrix layer asks for
-    :meth:`array_view` first and, when it gets an ndarray, runs the
-    historical in-memory code verbatim (bit-identical default); when it
-    gets ``None``, it streams through ``read``/``write``/``gather``/
-    ``scatter`` in :meth:`block_ranges`-sized spans.
+    operation is written against: each one streams through ``read``/
+    ``write``/``gather``/``scatter`` in :meth:`block_ranges`-sized spans,
+    whatever the backend.  How a span reaches its bytes is the store's
+    business alone.
     """
 
     #: Backend name, matching :class:`StoreSpec.backend`.
@@ -184,19 +175,15 @@ class CondensedStore(ABC):
     @property
     @abstractmethod
     def block_entries(self) -> int:
-        """Streaming granularity (entries per block)."""
-
-    def array_view(self) -> np.ndarray | None:
-        """The backing float64 ndarray, or ``None`` for sharded backends.
-
-        Non-``None`` means the array *is* the storage (writes through the
-        view are writes to the store) -- the in-memory fast path.
-        """
-        return None
+        """Streaming granularity (entries per block, >= 1)."""
 
     @abstractmethod
     def read(self, start: int, stop: int) -> np.ndarray:
-        """Entries ``[start, stop)`` as a fresh float64 array."""
+        """Entries ``[start, stop)`` as a read-only float64 array.
+
+        It may share memory with the store, and then shows later writes:
+        copy it to keep a snapshot.
+        """
 
     @abstractmethod
     def write(self, start: int, values: np.ndarray) -> None:
@@ -230,17 +217,20 @@ class CondensedStore(ABC):
         cache than the source without changing backends.
         """
 
-    def adopt(self, values: np.ndarray) -> "CondensedStore":
-        """Sibling store holding ``values`` (float64, fully materialised).
+    def spawn_filled(
+        self,
+        size: int,
+        fill: Callable[[int, int], np.ndarray],
+        cache_bytes: int | None = None,
+    ) -> "CondensedStore":
+        """Sibling store whose span ``[start, stop)`` holds ``fill(start, stop)``.
 
-        The in-memory backend overrides this to wrap without copying --
-        preserving the historical constructor's aliasing semantics --
-        while sharded backends stream the array in.
+        ``fill`` runs once per block of the new store, in order, and must
+        return a fresh writable float64 array that the store may keep.
         """
-        values = np.asarray(values, dtype=np.float64)
-        fresh = self.spawn(values.size)
+        fresh = self.spawn(size, cache_bytes=cache_bytes)
         for start, stop in fresh.block_ranges():
-            fresh.write(start, values[start:stop])
+            fresh.write(start, fill(start, stop))
         return fresh
 
     def flush(self) -> None:
@@ -257,18 +247,22 @@ class CondensedStore(ABC):
 
 
 class InMemoryStore(CondensedStore):
-    """The seed representation: one resident float64 array.
+    """The seed representation: one resident float64 array, one block.
 
-    :meth:`array_view` hands the backing array out directly, so matrix
-    code that takes the dense fast path is byte-for-byte the pre-backend
-    implementation (including its aliasing: constructing from an
-    existing float64 array wraps it, never copies).
+    The whole vector is a single block, so every block-wise loop makes
+    one pass over it and block-order-sensitive reductions (sums, means)
+    see exactly the seed's operand order.  Constructing from an existing
+    float64 array wraps it, never copies.
     """
 
     kind = "memory"
 
     def __init__(self, values: np.ndarray) -> None:
         self._values = np.asarray(values, dtype=np.float64)
+        # Slices of a read-only view are read-only views: ``read`` costs
+        # one slice, not a flag write per call.
+        self._readonly = self._values.view()
+        self._readonly.flags.writeable = False
 
     @property
     def size(self) -> int:
@@ -276,21 +270,17 @@ class InMemoryStore(CondensedStore):
 
     @property
     def block_entries(self) -> int:
-        return DEFAULT_BLOCK_ENTRIES
-
-    def array_view(self) -> np.ndarray:
-        return self._values
+        return max(1, self._values.size)
 
     def read(self, start: int, stop: int) -> np.ndarray:
-        return self._values[start:stop].copy()
+        return self._readonly[start:stop]
 
     def write(self, start: int, values: np.ndarray) -> None:
         self._values[start : start + len(values)] = values
 
     def gather(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if out is not None:
-            np.take(self._values, positions, out=out)
-            return out
+            return self._values.take(positions, out=out)
         return self._values[positions]
 
     def scatter(self, positions: np.ndarray, values: np.ndarray) -> None:
@@ -304,61 +294,14 @@ class InMemoryStore(CondensedStore):
     ) -> "InMemoryStore":
         return InMemoryStore(np.zeros(size, dtype=np.float64))
 
-    def adopt(self, values: np.ndarray) -> "InMemoryStore":
-        return InMemoryStore(np.asarray(values, dtype=np.float64))
-
-
-class Float32Store(CondensedStore):
-    """Half-width storage: float32 at rest, float64 at the interface.
-
-    The only divergence from the reference backend is the
-    round-to-nearest float32 quantisation applied at *write* time; reads
-    upcast exactly (every float32 is exactly representable in float64),
-    so all downstream arithmetic stays float64 and the error budget is
-    one rounding per stored value, not per operation.
-    """
-
-    kind = "float32"
-
-    def __init__(self, size: int, block_entries: int = DEFAULT_BLOCK_ENTRIES) -> None:
-        self._values = np.zeros(size, dtype=np.float32)
-        self._block_entries = int(block_entries)
-
-    @property
-    def size(self) -> int:
-        return int(self._values.size)
-
-    @property
-    def block_entries(self) -> int:
-        return self._block_entries
-
-    def read(self, start: int, stop: int) -> np.ndarray:
-        return self._values[start:stop].astype(np.float64)
-
-    def write(self, start: int, values: np.ndarray) -> None:
-        self._values[start : start + len(values)] = np.asarray(
-            values, dtype=np.float32
-        )
-
-    def gather(self, positions: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        taken = self._values[positions]
-        if out is not None:
-            out[...] = taken
-            return out
-        return taken.astype(np.float64)
-
-    def scatter(self, positions: np.ndarray, values: np.ndarray) -> None:
-        self._values[positions] = np.asarray(values, dtype=np.float32)
-
-    def spawn(
+    def spawn_filled(
         self,
         size: int,
-        block_entries: int | None = None,
+        fill: Callable[[int, int], np.ndarray],
         cache_bytes: int | None = None,
-    ) -> "Float32Store":
-        return Float32Store(
-            size, block_entries=block_entries or self._block_entries
-        )
+    ) -> "InMemoryStore":
+        # One block: keep fill's array rather than copy it into zeros.
+        return InMemoryStore(fill(0, size))
 
 
 def _cleanup_shards(
@@ -475,13 +418,24 @@ class MemmapStore(CondensedStore):
             raise ConfigurationError(
                 f"not a condensed shard directory ({meta_path}): {exc}"
             ) from exc
+        if not isinstance(meta, dict):
+            raise ConfigurationError(
+                f"shard metadata in {meta_path} is not a JSON object"
+            )
         if meta.get("format") != _META_FORMAT:
             raise ConfigurationError(
                 f"unsupported shard format {meta.get('format')!r} in {directory}"
             )
+        for field, minimum in (("size", 0), ("block_entries", 1)):
+            value = meta.get(field)
+            if type(value) is not int or value < minimum:
+                raise ConfigurationError(
+                    f"shard metadata {field!r} must be an integer >= {minimum}, "
+                    f"got {value!r} in {meta_path}"
+                )
         return cls(
-            int(meta["size"]),
-            block_entries=int(meta["block_entries"]),
+            meta["size"],
+            block_entries=meta["block_entries"],
             cache_bytes=cache_bytes,
             directory=directory,
             base_directory=os.path.dirname(directory) or None,
@@ -572,6 +526,7 @@ class MemmapStore(CondensedStore):
                     local : local + (boundary - position)
                 ]
                 position = boundary
+        out.flags.writeable = False
         return out
 
     def write(self, start: int, values: np.ndarray) -> None:
@@ -672,8 +627,6 @@ def spec_of(store: CondensedStore) -> StoreSpec:
             cache_bytes=store._cache_bytes,
             directory=store._base_directory,
         )
-    if isinstance(store, Float32Store):
-        return StoreSpec(backend="float32", block_entries=store.block_entries)
     return StoreSpec(backend="memory")
 
 

@@ -20,7 +20,7 @@ are all lock-protected.  Delivery queues are organised as *lanes*:
 * A *legacy receive* (no ``tag``) pops the recipient's global FIFO head
   -- the message with the lowest arrival number across all lanes --
   which is byte-for-byte the pre-lane behaviour: single-threaded
-  drivers and the sequential/interleaved schedules are unchanged.
+  drivers and the sequential schedule are unchanged.
 
 Since the fault-tolerance PR the network can also be **unreliable on
 purpose**: installing a :class:`~repro.network.faults.FaultPlan` (or
@@ -625,9 +625,9 @@ class Network(Transport):
     def peek(self, recipient: str) -> Message | None:
         """The message a legacy :meth:`receive` would pop next.
 
-        The serial construction schedules use this to gate a receive
+        The sequential construction schedule uses this to gate a receive
         step on its message actually being the FIFO head -- steps never
-        mis-deliver no matter how they are interleaved.  Under the
+        mis-deliver no matter how they are ordered.  Under the
         reliable shim, placeholders of dropped/delayed frames *are* the
         logical head (they will be recovered and delivered), so gating
         still sees the schedule the fault-free run would.

@@ -2,27 +2,30 @@
 
 Every :class:`~repro.distance.store.CondensedStore` backend must behave
 identically through the store contract and through every
-:class:`~repro.distance.dissimilarity.DissimilarityMatrix` operation:
-the float64 backends (``memory``, ``memmap``) bit-identically, the
-``float32`` backend up to one rounding per stored value.  The harness
-runs every public operation on a backend under test and on the
-in-memory reference simultaneously and compares results -- plus a
-Hypothesis property that drives random operation *sequences* through
-both, so cross-operation interactions (grow, shrink, overwrite, rescale)
-are covered, not just single calls.
+:class:`~repro.distance.dissimilarity.DissimilarityMatrix` operation.
+Both backends run the same block-streamed matrix code, so neither can
+be the other's reference: the harness computes every expected result
+with plain numpy expressions on a square matrix (the oracle below) and
+holds each backend to it exactly -- which also makes ``memory`` and
+``memmap`` bit-identical to each other.  A Hypothesis property drives
+random operation *sequences* through the oracle and both backends, so
+cross-operation interactions (grow, shrink, overwrite, rescale) are
+covered, not just single calls.  Matrices of one and two objects put
+one-block stores of size 0 and 1 through every primitive.
 
 The memmap backend additionally gets white-box units for what makes it
 a backend at all: the LRU cache bound, dirty writeback through
-eviction, shard-directory persistence/reopen, and ownership cleanup.
-The RSS regression test at the bottom runs a real n=20,000 PAM workload
-in a subprocess and asserts the peak RSS a full in-memory triangle
-could never meet.
+eviction, shard-directory persistence/reopen, metadata validation and
+ownership cleanup.  The RSS regression test at the bottom runs a real
+n=20,000 PAM workload in a subprocess and asserts the peak RSS a full
+in-memory triangle could never meet.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -30,14 +33,25 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distance.dissimilarity import DissimilarityMatrix, condensed_size
+from repro.clustering.kmedoids import k_medoids
+from repro.clustering.linkage import agglomerative
+from repro.clustering.quality import average_square_distance, dunn_index
+from repro.core.config import ProtocolSuiteConfig
+from repro.distance.dissimilarity import (
+    DissimilarityMatrix,
+    condensed_argmin,
+    condensed_has_duplicates,
+    condensed_row_gather,
+    condensed_row_scatter,
+    condensed_size,
+)
+from repro.distance.merge import merge_weighted
 from repro.distance.store import (
     DEFAULT_BLOCK_ENTRIES,
     ENV_BACKEND,
     ENV_BLOCK_ENTRIES,
     ENV_CACHE_BYTES,
     ENV_DIRECTORY,
-    Float32Store,
     InMemoryStore,
     MemmapStore,
     StoreSpec,
@@ -48,9 +62,9 @@ from repro.distance.store import (
 )
 from repro.exceptions import ConfigurationError
 
-BACKENDS = ("memory", "float32", "memmap")
+BACKENDS = ("memory", "memmap")
 
-#: Tiny blocks so every conformance case crosses shard boundaries, and a
+#: Tiny blocks so every memmap case crosses shard boundaries, and a
 #: cache of four blocks so eviction/writeback runs constantly.
 SMALL_BLOCK = 32
 SMALL_CACHE = 4 * SMALL_BLOCK * 8
@@ -60,13 +74,6 @@ def small_spec(backend: str) -> StoreSpec:
     return StoreSpec(
         backend=backend, block_entries=SMALL_BLOCK, cache_bytes=SMALL_CACHE
     )
-
-
-def stored_precision(backend: str, values: np.ndarray) -> np.ndarray:
-    """What a backend is allowed to hand back for stored ``values``."""
-    if backend == "float32":
-        return values.astype(np.float32).astype(np.float64)
-    return values
 
 
 def fill_values(size: int, seed: int = 7) -> np.ndarray:
@@ -83,12 +90,11 @@ class TestStoreContract:
         size = 5 * SMALL_BLOCK + 11
         values = fill_values(size)
         store = open_store(small_spec(backend), size, values)
-        expected = stored_precision(backend, values)
         # Whole-store, single-block, and straddling reads all agree.
-        np.testing.assert_array_equal(store.read(0, size), expected)
+        np.testing.assert_array_equal(store.read(0, size), values)
         np.testing.assert_array_equal(
             store.read(SMALL_BLOCK - 5, 3 * SMALL_BLOCK + 7),
-            expected[SMALL_BLOCK - 5 : 3 * SMALL_BLOCK + 7],
+            values[SMALL_BLOCK - 5 : 3 * SMALL_BLOCK + 7],
         )
         assert store.read(17, 17).shape == (0,)
         store.close()
@@ -101,20 +107,18 @@ class TestStoreContract:
         store.write(SMALL_BLOCK - 4, patch)
         expected = np.zeros(size)
         expected[SMALL_BLOCK - 4 : SMALL_BLOCK - 4 + patch.size] = patch
-        np.testing.assert_array_equal(
-            store.read(0, size), stored_precision(backend, expected)
-        )
+        np.testing.assert_array_equal(store.read(0, size), expected)
         store.close()
 
     def test_gather_scatter_unsorted_positions(self, backend):
         size = 6 * SMALL_BLOCK
         values = fill_values(size, seed=3)
-        store = open_store(small_spec(backend), size, values)
+        store = open_store(small_spec(backend), size, values.copy())
         rng = np.random.default_rng(5)
         # Unsorted, block-hopping, with repeats: the access pattern the
         # NN-chain tail gathers produce.
         positions = rng.integers(0, size, size=4 * SMALL_BLOCK, dtype=np.int64)
-        expected = stored_precision(backend, values)[positions]
+        expected = values[positions]
         np.testing.assert_array_equal(store.gather(positions), expected)
         out = np.empty(positions.size, dtype=np.float64)
         result = store.gather(positions, out=out)
@@ -125,9 +129,14 @@ class TestStoreContract:
         replacement = fill_values(unique.size, seed=13)
         store.scatter(unique, replacement)
         values[unique] = replacement
-        np.testing.assert_array_equal(
-            store.read(0, size), stored_precision(backend, values)
-        )
+        np.testing.assert_array_equal(store.read(0, size), values)
+        store.close()
+
+    def test_reads_are_read_only(self, backend):
+        store = open_store(small_spec(backend), 3 * SMALL_BLOCK, fill_values(96))
+        for span in (store.read(0, store.size), store.read(5, 40)):
+            with pytest.raises(ValueError):
+                span[0] = 1.0
         store.close()
 
     def test_spawn_is_zeroed_sibling(self, backend):
@@ -142,38 +151,40 @@ class TestStoreContract:
         sibling.close()
         store.close()
 
-    def test_adopt_holds_values(self, backend):
+    def test_spawn_filled_holds_fill(self, backend):
         store = open_store(small_spec(backend), SMALL_BLOCK)
-        values = fill_values(2 * SMALL_BLOCK + 3, seed=17)
-        adopted = store.adopt(values)
-        assert adopted.kind == store.kind
+        spans = []
+
+        def fill(start, stop):
+            spans.append((start, stop))
+            return np.arange(start, stop, dtype=np.float64) / 4.0
+
+        sibling = store.spawn_filled(2 * SMALL_BLOCK + 3, fill)
+        assert sibling.kind == store.kind
         np.testing.assert_array_equal(
-            adopted.read(0, adopted.size), stored_precision(backend, values)
+            sibling.read(0, sibling.size), np.arange(sibling.size) / 4.0
         )
-        adopted.close()
+        assert spans == list(sibling.block_ranges())
+        sibling.close()
         store.close()
 
     def test_block_ranges_tile_the_store(self, backend):
-        size = 3 * SMALL_BLOCK + 7
-        store = open_store(small_spec(backend), size)
-        spans = list(store.block_ranges())
-        assert spans[0][0] == 0 and spans[-1][1] == size
-        for (_, prev_stop), (start, stop) in zip(spans, spans[1:]):
-            assert start == prev_stop and start < stop
-        store.close()
-
-    def test_array_view_contract(self, backend):
-        values = fill_values(2 * SMALL_BLOCK)
-        store = open_store(small_spec(backend), values.size, values)
-        view = store.array_view()
-        if backend == "memory":
-            # The view IS the storage: writes through it are visible.
-            assert view is not None
-            view[3] = 42.0
-            assert store.read(3, 4)[0] == 42.0
-        else:
-            assert view is None
-        store.close()
+        for size in (0, 1, SMALL_BLOCK, 3 * SMALL_BLOCK + 7):
+            store = open_store(small_spec(backend), size)
+            assert store.block_entries >= 1
+            spans = list(store.block_ranges())
+            if size == 0:
+                assert spans == []
+            else:
+                assert spans[0][0] == 0 and spans[-1][1] == size
+            for start, stop in spans:
+                assert start < stop
+            for (_, prev_stop), (start, _) in zip(spans, spans[1:]):
+                assert start == prev_stop
+            if backend == "memory":
+                # The in-memory store is one block, whatever the spec says.
+                assert len(spans) == min(1, size)
+            store.close()
 
     def test_spec_roundtrip(self, backend):
         spec = small_spec(backend)
@@ -186,142 +197,249 @@ class TestStoreContract:
         store.close()
 
 
+# -- the square-matrix oracle ------------------------------------------------
+#
+# Plain numpy on an n x n array: no code from repro.distance runs here, so
+# the oracle cannot share a defect with the backends it judges.
+
+
+def oracle_square(n: int, condensed: np.ndarray) -> np.ndarray:
+    square = np.zeros((n, n))
+    square[np.tril_indices(n, -1)] = condensed
+    return square + square.T
+
+
+def oracle_condensed(square: np.ndarray) -> np.ndarray:
+    return square[np.tril_indices(square.shape[0], -1)]
+
+
+def oracle_set(square: np.ndarray, i: int, j: int, value: float) -> None:
+    square[i, j] = square[j, i] = value
+
+
+def oracle_set_block(square: np.ndarray, rows, cols, block: np.ndarray) -> None:
+    square[np.ix_(rows, cols)] = block
+    square[np.ix_(cols, rows)] = block.T
+
+
+def oracle_submatrix(square: np.ndarray, indices) -> np.ndarray:
+    return square[np.ix_(indices, indices)]
+
+
+def oracle_remove(square: np.ndarray, drop) -> np.ndarray:
+    keep = [k for k in range(square.shape[0]) if k not in set(drop)]
+    return oracle_submatrix(square, keep)
+
+
+def oracle_insert(square: np.ndarray, positions) -> np.ndarray:
+    grown = square.shape[0] + len(positions)
+    old = [k for k in range(grown) if k not in set(positions)]
+    out = np.zeros((grown, grown))
+    out[np.ix_(old, old)] = square
+    return out
+
+
+def oracle_normalized(square: np.ndarray) -> np.ndarray:
+    peak = square.max() if square.size else 0.0
+    return square / peak if peak > 0 else square.copy()
+
+
+def assert_matches(matrix: DissimilarityMatrix, square: np.ndarray) -> None:
+    """The matrix holds exactly the oracle's square."""
+    assert matrix.num_objects == square.shape[0]
+    np.testing.assert_array_equal(matrix.condensed, oracle_condensed(square))
+    np.testing.assert_array_equal(matrix.to_square(), square)
+
+
+def matrix_and_oracle(n: int, backend: str, seed: int = 23):
+    """A random matrix on ``backend`` and its oracle square."""
+    condensed = fill_values(condensed_size(n), seed=seed)
+    matrix = DissimilarityMatrix(n, condensed.copy(), store_spec=small_spec(backend))
+    return matrix, oracle_square(n, condensed)
+
+
 # -- matrix-level conformance ------------------------------------------------
-
-
-def reference_condensed(n: int, seed: int = 23) -> np.ndarray:
-    return fill_values(condensed_size(n), seed=seed)
-
-
-def matrix_pair(n: int, backend: str, seed: int = 23):
-    """The same matrix on the default backend and on ``backend``."""
-    condensed = reference_condensed(n, seed)
-    return (
-        DissimilarityMatrix(n, condensed.copy()),
-        DissimilarityMatrix(n, condensed, store_spec=small_spec(backend)),
-    )
-
-
-def assert_matches(backend: str, matrix: DissimilarityMatrix, reference: DissimilarityMatrix):
-    """Backend matrix equals the in-memory reference (exactly for the
-    float64 backends, to float32 precision otherwise)."""
-    assert matrix.num_objects == reference.num_objects
-    got, want = matrix.condensed, reference.condensed
-    if backend == "float32":
-        np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
-    else:
-        np.testing.assert_array_equal(got, want)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestMatrixConformance:
     def test_construction_and_views(self, backend):
         n = 30
-        reference, matrix = matrix_pair(n, backend)
+        matrix, square = matrix_and_oracle(n, backend)
         assert matrix.store_kind == backend
-        expected = stored_precision(backend, reference.condensed)
-        np.testing.assert_array_equal(matrix.condensed, expected)
+        assert_matches(matrix, square)
         np.testing.assert_array_equal(
-            matrix.to_square(), DissimilarityMatrix(n, expected).to_square()
-        )
-        np.testing.assert_array_equal(
-            matrix.to_scipy_condensed(),
-            DissimilarityMatrix(n, expected).to_scipy_condensed(),
+            matrix.to_scipy_condensed(), square[np.triu_indices(n, 1)]
         )
         for i, j in ((1, 0), (17, 4), (n - 1, n - 2), (5, 29)):
-            assert matrix[i, j] == matrix[j, i]
-            assert matrix[i, j] == DissimilarityMatrix(n, expected)[max(i, j), min(i, j)]
+            assert matrix[i, j] == matrix[j, i] == square[i, j]
         assert matrix[3, 3] == 0.0
 
     def test_scalar_reductions(self, backend):
         n = 30
-        reference, matrix = matrix_pair(n, backend)
-        expected = DissimilarityMatrix(n, stored_precision(backend, reference.condensed))
-        assert matrix.max_value() == expected.max_value()
-        assert matrix.mean_value() == pytest.approx(expected.mean_value(), rel=1e-12)
+        matrix, square = matrix_and_oracle(n, backend)
+        assert matrix.max_value() == square.max()
+        assert matrix.mean_value() == pytest.approx(
+            oracle_condensed(square).mean(), rel=1e-12
+        )
 
     def test_setitem_and_blocks(self, backend):
         n = 26
-        reference, matrix = matrix_pair(n, backend)
-        for target in (reference, matrix):
-            target[4, 11] = 3.25
-            block = np.arange(1.0, 13.0).reshape(3, 4) / 8.0  # f32-exact
-            target.set_block([0, 7, 19], [2, 5, 9, 23], block)
+        matrix, square = matrix_and_oracle(n, backend)
+        matrix[4, 11] = 3.25
+        oracle_set(square, 4, 11, 3.25)
+        rows, cols = [0, 7, 19], [2, 5, 9, 23]
+        block = np.arange(1.0, 13.0).reshape(3, 4) / 8.0
+        matrix.set_block(rows, cols, block)
+        oracle_set_block(square, rows, cols, block)
         np.testing.assert_array_equal(
-            matrix.cross_block([0, 7, 19], [2, 5, 9, 23]),
-            reference.cross_block([0, 7, 19], [2, 5, 9, 23]),
+            matrix.cross_block(rows, cols), square[np.ix_(rows, cols)]
         )
-        assert_matches(backend, matrix, reference)
+        np.testing.assert_array_equal(
+            matrix.cross_block([3, 7], [7, 3]), square[np.ix_([3, 7], [7, 3])]
+        )
+        assert_matches(matrix, square)
 
     def test_normalized(self, backend):
         n = 24
-        reference, matrix = matrix_pair(n, backend)
-        assert_matches(backend, matrix.normalized(), reference.normalized())
+        matrix, square = matrix_and_oracle(n, backend)
+        normalized = matrix.normalized()
+        assert_matches(normalized, oracle_normalized(square))
         # The derived matrix inherits the backend.
-        assert matrix.normalized().store_kind == backend
+        assert normalized.store_kind == backend
 
     def test_submatrix_and_remove(self, backend):
         n = 28
-        reference, matrix = matrix_pair(n, backend)
+        matrix, square = matrix_and_oracle(n, backend)
         keep = [0, 3, 4, 11, 12, 19, 27, 26]
-        assert_matches(backend, matrix.submatrix(keep), reference.submatrix(keep))
+        assert_matches(matrix.submatrix(keep), oracle_submatrix(square, keep))
         drop = [1, 2, 25]
-        assert_matches(
-            backend, matrix.remove_objects(drop), reference.remove_objects(drop)
-        )
+        assert_matches(matrix.remove_objects(drop), oracle_remove(square, drop))
         assert matrix.submatrix(keep).store_kind == backend
 
     def test_insert_objects(self, backend):
         n = 22
-        reference, matrix = matrix_pair(n, backend)
+        matrix, square = matrix_and_oracle(n, backend)
         positions = [0, 5, 23]
-        assert_matches(
-            backend,
-            matrix.insert_objects(positions),
-            reference.insert_objects(positions),
-        )
+        grown = matrix.insert_objects(positions)
+        assert_matches(grown, oracle_insert(square, positions))
+        assert grown.store_kind == backend
 
     def test_diagonal_blocks(self, backend):
         n = 20
-        reference, matrix = matrix_pair(n, backend)
-        local = DissimilarityMatrix(6, np.arange(1.0, 16.0) / 4.0)
-        for target in (reference, matrix):
-            target.set_diagonal_block(7, local)
-        assert_matches(backend, matrix, reference)
+        matrix, square = matrix_and_oracle(n, backend)
+        local_condensed = np.arange(1.0, 16.0) / 4.0
+        matrix.set_diagonal_block(7, DissimilarityMatrix(6, local_condensed))
+        square[7:13, 7:13] = oracle_square(6, local_condensed)
+        assert_matches(matrix, square)
+        # Rows 4..5 of the 6-object local block, each against every
+        # earlier local row, in Figure 2 order.
         tail = np.arange(1.0, 1.0 + condensed_size(6) - condensed_size(4)) / 8.0
-        for target in (reference, matrix):
-            target.set_diagonal_delta(7, 4, 6, tail)
-        assert_matches(backend, matrix, reference)
+        matrix.set_diagonal_delta(7, 4, 6, tail)
+        entries = iter(tail)
+        for row in range(4, 6):
+            for col in range(row):
+                oracle_set(square, 7 + row, 7 + col, next(entries))
+        assert_matches(matrix, square)
 
     def test_set_submatrix(self, backend):
         n = 18
-        reference, matrix = matrix_pair(n, backend)
+        matrix, square = matrix_and_oracle(n, backend)
         indices = [2, 9, 3, 15, 10]
-        local = DissimilarityMatrix(5, np.arange(1.0, 11.0) / 2.0)
-        for target in (reference, matrix):
-            target.set_submatrix(indices, local)
-        assert_matches(backend, matrix, reference)
+        local_condensed = np.arange(1.0, 11.0) / 2.0
+        matrix.set_submatrix(indices, DissimilarityMatrix(5, local_condensed))
+        square[np.ix_(indices, indices)] = oracle_square(5, local_condensed)
+        assert_matches(matrix, square)
 
     def test_copy_and_equality(self, backend):
         n = 16
-        _, matrix = matrix_pair(n, backend)
+        matrix, square = matrix_and_oracle(n, backend)
         clone = matrix.copy()
         assert clone.store_kind == backend
         assert clone == matrix and clone.allclose(matrix)
         clone[5, 2] = clone[5, 2] + 1.0
         assert clone != matrix
+        assert_matches(matrix, square)
 
     def test_condensed_round_trip_io(self, backend):
         n = 25
-        _, matrix = matrix_pair(n, backend)
+        matrix, square = matrix_and_oracle(n, backend)
         size = condensed_size(n)
-        span = matrix.read_condensed(10, size - 10)
-        matrix.write_condensed(10, span)
-        np.testing.assert_array_equal(matrix.read_condensed(10, size - 10), span)
+        span = matrix.read_condensed(10, size - 10).copy()
+        np.testing.assert_array_equal(span, oracle_condensed(square)[10 : size - 10])
+        matrix.write_condensed(10, span[::-1])
+        expected = oracle_condensed(square)
+        expected[10 : size - 10] = span[::-1]
+        np.testing.assert_array_equal(matrix.condensed, expected)
         with pytest.raises(ConfigurationError):
             matrix.write_condensed(size - 1, np.zeros(2))
         with pytest.raises(ConfigurationError):
             matrix.write_condensed(0, np.array([-1.0]))
+
+    def test_merge_and_triangle_check(self, backend):
+        n = 21
+        first, first_square = matrix_and_oracle(n, backend, seed=3)
+        second, second_square = matrix_and_oracle(n, backend, seed=4)
+        merged = merge_weighted([first, second], [1.0, 3.0])
+        assert merged.store_kind == backend
+        assert_matches(merged, 0.25 * first_square + 0.75 * second_square)
+        via = first_square[:, :, None] + first_square[None, :, :]
+        holds = bool(np.all(first_square[:, None, :] <= via + 1e-9))
+        assert first.check_triangle_inequality(chunk_rows=4) is holds
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_tiny_matrices_through_every_primitive(backend, n):
+    """One and two objects: stores of size 0 and 1, a single block."""
+    matrix, square = matrix_and_oracle(n, backend)
+    assert list(matrix.store.block_ranges()) == ([] if n == 1 else [(0, 1)])
+    assert_matches(matrix, square)
+    np.testing.assert_array_equal(
+        matrix.to_scipy_condensed(), square[np.triu_indices(n, 1)]
+    )
+    assert matrix.max_value() == (square.max() if n > 1 else 0.0)
+    assert matrix.mean_value() == (square[1, 0] if n > 1 else 0.0)
+    assert matrix[n - 1, 0] == square[n - 1, 0]
+    assert_matches(matrix.normalized(), oracle_normalized(square))
+    assert_matches(matrix.copy(), square)
+    assert matrix.copy() == matrix and matrix.allclose(matrix.copy())
+    assert_matches(matrix.submatrix([n - 1]), square[n - 1 :, n - 1 :])
+    assert_matches(matrix.submatrix(range(n)[::-1]), square[::-1, ::-1])
+    for positions in ([0], [n], [0, n + 1]):
+        assert_matches(
+            matrix.insert_objects(positions), oracle_insert(square, positions)
+        )
+    if n == 2:
+        assert_matches(matrix.remove_objects([0]), oracle_remove(square, [0]))
+    np.testing.assert_array_equal(
+        matrix.cross_block(range(n), range(n)), square
+    )
+    assert matrix.check_triangle_inequality()
+    assert_matches(merge_weighted([matrix, matrix.copy()]), square)
+    row = condensed_row_gather(matrix.store, n - 1, n)
+    np.testing.assert_array_equal(row, square[n - 1])
+    condensed_row_scatter(matrix.store, n - 1, n, row * 2.0)
+    square *= 2.0
+    assert_matches(matrix, square)
+    assert condensed_has_duplicates(matrix.store) is False
+    if n == 2:
+        assert condensed_argmin(matrix.store, n) == (1, 0)
+    local = DissimilarityMatrix(n, oracle_condensed(square))
+    matrix.set_diagonal_block(0, local)
+    matrix.set_submatrix(list(range(n)), local)
+    matrix.set_diagonal_delta(0, n, n, np.empty(0))
+    assert_matches(matrix, square)
+    dendrogram = agglomerative(matrix, "average")
+    assert [merge.height for merge in dendrogram.merges] == list(
+        oracle_condensed(square)
+    )
+    assert k_medoids(matrix, 1).labels == [0] * n
+    assert average_square_distance(matrix, [0] * n) == {
+        0: float(np.sum(oracle_condensed(square) ** 2))
+    }
+    if n == 2:
+        assert dunn_index(matrix, [0, 1]) == float("inf")
 
 
 # -- random operation sequences (Hypothesis) ---------------------------------
@@ -345,7 +463,7 @@ def _apply(op, payload, matrix: DissimilarityMatrix) -> DissimilarityMatrix:
     if op == "set" and n >= 2:
         i = 1 + payload % (n - 1)
         j = payload % i
-        matrix[i, j] = float(payload % 31) / 4.0  # f32-exact values
+        matrix[i, j] = float(payload % 31) / 4.0
     elif op == "insert" and n <= 24:
         positions = sorted({payload % (n + 1), (payload * 7 + 1) % (n + 2)})
         matrix = matrix.insert_objects(positions)
@@ -362,25 +480,45 @@ def _apply(op, payload, matrix: DissimilarityMatrix) -> DissimilarityMatrix:
     return matrix
 
 
-@pytest.mark.parametrize("backend", ["float32", "memmap"])
+def _apply_oracle(op, payload, square: np.ndarray) -> np.ndarray:
+    """:func:`_apply`'s operation, as numpy on the oracle square."""
+    n = square.shape[0]
+    if op == "set" and n >= 2:
+        i = 1 + payload % (n - 1)
+        oracle_set(square, i, payload % i, float(payload % 31) / 4.0)
+    elif op == "insert" and n <= 24:
+        positions = sorted({payload % (n + 1), (payload * 7 + 1) % (n + 2)})
+        square = oracle_insert(square, positions)
+    elif op == "remove" and n >= 4:
+        square = oracle_remove(square, [payload % n])
+    elif op == "block" and n >= 6:
+        rows = [payload % n, (payload + 1) % n]
+        cols = [(payload + 2) % n, (payload + 3) % n, (payload + 4) % n]
+        if not set(rows) & set(cols):
+            block = (np.arange(6.0).reshape(2, 3) + payload % 8) / 8.0
+            oracle_set_block(square, rows, cols, block)
+    elif op == "normalize" and square.max() > 0:
+        square = oracle_normalized(square)
+    return square
+
+
 @given(ops=_OPS, seed=st.integers(0, 2**16))
 @settings(max_examples=25, deadline=None)
-def test_random_operation_sequences_track_reference(backend, ops, seed):
-    """Any operation sequence leaves backend and reference in agreement."""
+def test_random_operation_sequences_track_reference(ops, seed):
+    """Any operation sequence leaves both backends equal to the oracle,
+    and to each other, bit for bit."""
     n = 8 + seed % 5
     condensed = np.floor(fill_values(condensed_size(n), seed=seed) * 8.0) / 8.0
-    reference = DissimilarityMatrix(n, condensed.copy())
-    matrix = DissimilarityMatrix(n, condensed, store_spec=small_spec(backend))
+    square = oracle_square(n, condensed)
+    memory = DissimilarityMatrix(n, condensed.copy(), store_spec=small_spec("memory"))
+    memmap = DissimilarityMatrix(n, condensed, store_spec=small_spec("memmap"))
     for op, payload in ops:
-        reference = _apply(op, payload, reference)
-        matrix = _apply(op, payload, matrix)
-        assert matrix.store_kind == backend
-        if backend == "memmap":
-            np.testing.assert_array_equal(matrix.condensed, reference.condensed)
-        else:
-            np.testing.assert_allclose(
-                matrix.condensed, reference.condensed, rtol=1e-6, atol=1e-6
-            )
+        square = _apply_oracle(op, payload, square)
+        memory = _apply(op, payload, memory)
+        memmap = _apply(op, payload, memmap)
+        assert (memory.store_kind, memmap.store_kind) == BACKENDS
+        np.testing.assert_array_equal(memmap.condensed, memory.condensed)
+        assert_matches(memory, square)
 
 
 # -- memmap white-box units --------------------------------------------------
@@ -436,6 +574,22 @@ class TestMemmapInternals:
         with pytest.raises(ConfigurationError):
             MemmapStore.open(str(tmp_path))
 
+    @pytest.mark.parametrize(
+        "meta",
+        [
+            [1, 64, 32],
+            {"format": 1, "block_entries": 32},
+            {"format": 1, "size": "x", "block_entries": 32},
+            {"format": 1, "size": 64, "block_entries": 0},
+            {"format": 1, "size": 64, "block_entries": -32},
+        ],
+        ids=["not-an-object", "no-size", "text-size", "zero-block", "negative-block"],
+    )
+    def test_open_rejects_malformed_meta(self, tmp_path, meta):
+        (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
+        with pytest.raises(ConfigurationError):
+            MemmapStore.open(str(tmp_path))
+
     def test_sparse_zero_store_is_cheap(self, tmp_path):
         store = MemmapStore.create(
             DEFAULT_BLOCK_ENTRIES * 4,
@@ -483,7 +637,21 @@ def test_bad_spec_is_rejected():
 
 def test_store_types_are_exposed():
     assert isinstance(open_store(StoreSpec(), 3), InMemoryStore)
-    assert isinstance(open_store(StoreSpec(backend="float32"), 3), Float32Store)
+    store = open_store(StoreSpec(backend="memmap"), 3)
+    assert isinstance(store, MemmapStore)
+    store.close()
+
+
+def test_float32_backend_is_rejected(monkeypatch):
+    """Only the two float64 backends exist, by option and by environment."""
+    both = re.escape("('memory', 'memmap')")
+    with pytest.raises(ConfigurationError, match=both):
+        ProtocolSuiteConfig(store_backend="float32")
+    monkeypatch.setenv(ENV_BACKEND, "float32")
+    with pytest.raises(ConfigurationError, match=both):
+        default_store_spec()
+    with pytest.raises(ConfigurationError, match=both):
+        ProtocolSuiteConfig()
 
 
 # -- the RSS regression: a real workload under a hard memory cap -------------

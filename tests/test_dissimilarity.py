@@ -543,3 +543,31 @@ class TestCondensedTailIndices:
         assert i.size == j.size == old + (old + 1) + (old + 2)
         assert i[0] == old and j[0] == 0
         assert i[-1] == new - 1 and j[-1] == new - 2
+
+
+class TestCondensedSpanIndices:
+    def test_matches_tril_slices(self):
+        from repro.distance.dissimilarity import condensed_span_indices
+
+        for n in range(1, 9):
+            i, j = np.tril_indices(n, -1)
+            for start in range(i.size + 1):
+                for stop in range(start, i.size + 1):
+                    si, sj = condensed_span_indices(start, stop)
+                    assert np.array_equal(si, i[start:stop])
+                    assert np.array_equal(sj, j[start:stop])
+
+    def test_exact_at_large_positions(self):
+        """Integer row solves stay exact where a float sqrt needs guarding."""
+        from repro.distance.dissimilarity import (
+            condensed_span_indices,
+            condensed_unravel,
+        )
+
+        n = 3_000_000
+        stop = n * (n - 1) // 2
+        start = stop - 2 * n - 5  # ends of three rows, the last one whole
+        si, sj = condensed_span_indices(start, stop)
+        ui, uj = condensed_unravel(np.arange(start, stop, dtype=np.int64))
+        assert np.array_equal(si, ui) and np.array_equal(sj, uj)
+        assert si[-1] == n - 1 and sj[-1] == n - 2

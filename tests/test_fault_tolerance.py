@@ -314,7 +314,7 @@ class TestMaskedFaultDeterminism:
     )
     @given(
         fault_seed=st.integers(min_value=0, max_value=2**32),
-        schedule=st.sampled_from(["sequential", "interleaved", "parallel"]),
+        schedule=st.sampled_from(["sequential", "parallel"]),
         workers=st.integers(min_value=1, max_value=3),
         preset=st.sampled_from(PRESETS),
     )

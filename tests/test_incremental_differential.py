@@ -156,12 +156,8 @@ TestIncrementalSessionMachine = IncrementalSessionMachine.TestCase
 
 SUITES = {
     "sequential-batch": ProtocolSuiteConfig(),
-    "interleaved-batch": ProtocolSuiteConfig(construction_schedule="interleaved"),
     "sequential-perpair-fresh": ProtocolSuiteConfig(
         batch_numeric=False, fresh_string_masks=True
-    ),
-    "interleaved-perpair": ProtocolSuiteConfig(
-        construction_schedule="interleaved", batch_numeric=False
     ),
     "parallel-batch": ProtocolSuiteConfig(construction_schedule="parallel"),
     "parallel-perpair-fresh": ProtocolSuiteConfig(
@@ -276,9 +272,9 @@ class TestDeterministicScenarios:
         assert "city:send_encrypted_delta[A]@1" in trace
         assert "city:finalize@1" in trace
 
-    def test_interleaved_delta_matches_sequential_delta(self):
+    def test_parallel_delta_matches_sequential_delta(self):
         results = {}
-        for schedule in ("sequential", "interleaved", "parallel"):
+        for schedule in ("sequential", "parallel"):
             config = SessionConfig(
                 num_clusters=2,
                 master_seed=23,
@@ -293,15 +289,14 @@ class TestDeterministicScenarios:
                 recluster=False,
             )
             results[schedule] = service
-        for schedule in ("interleaved", "parallel"):
-            assert results["sequential"].matrix() == results[schedule].matrix()
-            if not os.environ.get("REPRO_CHAOS_PRESET"):
-                # Chaos retransmits make wire bytes schedule-dependent;
-                # the matrices above stay pinned regardless.
-                assert (
-                    results["sequential"].total_bytes()
-                    == results[schedule].total_bytes()
-                )
+        assert results["sequential"].matrix() == results["parallel"].matrix()
+        if not os.environ.get("REPRO_CHAOS_PRESET"):
+            # Chaos retransmits make wire bytes schedule-dependent; the
+            # matrices above stay pinned regardless.
+            assert (
+                results["sequential"].total_bytes()
+                == results["parallel"].total_bytes()
+            )
 
 
 class TestServiceErrorPaths:
@@ -351,10 +346,9 @@ class TestServiceErrorPaths:
 class TestStorageBackendSweep:
     """The mixed ingest/retire history, re-run per storage backend.
 
-    Tiny blocks and a tiny cache force the sharded backends through
-    their eviction/writeback machinery even at test scale; the float64
-    backends must agree bit for bit with the default run, the float32
-    backend within one rounding per stored value.
+    Tiny blocks and a tiny cache force the memmap backend through its
+    eviction/writeback machinery even at test scale; it must agree bit
+    for bit with the default run.
     """
 
     @staticmethod
@@ -385,7 +379,7 @@ class TestStorageBackendSweep:
         )
         return service, batch
 
-    @pytest.mark.parametrize("backend", ["memory", "float32", "memmap"])
+    @pytest.mark.parametrize("backend", ["memory", "memmap"])
     def test_incremental_matches_rebuild_on_backend(self, backend):
         service, batch = self._mixed_history(self._suite(backend))
         # The configured backend actually reached the third party.
@@ -397,7 +391,7 @@ class TestStorageBackendSweep:
         matrix, dendrogram, medoids, and the published payload are all
         bit-identical to the in-memory default."""
         # Explicitly in-memory: a REPRO_STORE_BACKEND env override (the
-        # CI storage matrix) must not move the reference side.
+        # CI storage-memmap job) must not move the reference side.
         default_service, _ = self._mixed_history(self._suite("memory"))
         memmap_service, _ = self._mixed_history(self._suite("memmap"))
         assert memmap_service.matrix() == default_service.matrix()
@@ -412,15 +406,10 @@ class TestStorageBackendSweep:
             == default_service.recluster().to_payload()
         )
 
-    def test_float32_tracks_default_within_rounding(self):
-        default_service, _ = self._mixed_history(self._suite("memory"))
-        f32_service, _ = self._mixed_history(self._suite("float32"))
-        assert f32_service.matrix().allclose(default_service.matrix(), atol=1e-5)
-
     def test_environment_default_reaches_sessions(self, monkeypatch):
         """With no explicit ``store_backend``, the session-owned matrices
-        follow ``REPRO_STORE_BACKEND`` -- the hook the CI storage matrix
-        re-points whole runs through -- and stay bit-identical."""
+        follow ``REPRO_STORE_BACKEND`` -- the hook the CI storage-memmap
+        job re-points whole runs through -- and stay bit-identical."""
         from repro.distance.store import ENV_BACKEND
 
         monkeypatch.setenv(ENV_BACKEND, "memmap")

@@ -9,7 +9,7 @@ in :mod:`repro.core.scheduler`; these tests hold the whole stack to the
 guarantee:
 
 * a deterministic sweep and a Hypothesis property test across
-  ``sequential`` / ``interleaved`` / ``parallel(w=1,2,4)``,
+  ``sequential`` / ``parallel(w=1,2,4)``,
 * lane-receive semantics of the concurrency-safe network (exact pops,
   actionable mis-scheduling reports -- the queue snapshot satellites),
 * a multi-threaded accounting hammer: byte/message counters and
@@ -49,7 +49,6 @@ SCHEMA = [
 #: smoke matrix can push an extra worker count in via the environment.
 POLICIES: list[tuple[str, int]] = [
     ("sequential", 1),
-    ("interleaved", 1),
     ("parallel", 1),
     ("parallel", 2),
     ("parallel", 4),

@@ -1,11 +1,11 @@
 """The pipelined construction scheduler and the session batch runner.
 
 Pins the scheduler's two core guarantees -- (1) the ``sequential``
-policy replays the seed's exact choreography, and (2) the
-``interleaved`` policy overlaps attributes and holder pairs while
-changing no protocol message, no byte count and no result -- plus the
-queue-gating that makes arbitrary admissible interleavings safe, and
-the :class:`repro.apps.sessions.SessionBatch` setup amortisation.
+policy replays the seed's exact choreography, and (2) the ``parallel``
+policy reorders steps while changing no protocol message, no byte count
+and no result -- plus the queue-gating that makes arbitrary admissible
+interleavings safe, and the :class:`repro.apps.sessions.SessionBatch`
+setup amortisation.
 """
 
 from __future__ import annotations
@@ -80,7 +80,13 @@ class TestPolicies:
             ConstructionScheduler(session.holders, session.third_party, policy="nope")
 
     def test_policies_registry(self):
-        assert set(SCHEDULE_POLICIES) == {"sequential", "interleaved", "parallel"}
+        assert SCHEDULE_POLICIES == ("sequential", "parallel")
+
+    def test_interleaved_policy_is_gone(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            ProtocolSuiteConfig(construction_schedule="interleaved")
+        assert "'sequential'" in str(excinfo.value)
+        assert "'parallel'" in str(excinfo.value)
 
     def test_scheduler_rejects_bad_worker_count(self):
         session, _ = _tapped_session("sequential")
@@ -124,56 +130,6 @@ class TestSequentialReplaysSeed:
             "result", "result",
         ]
 
-
-class TestInterleavedEquivalence:
-    def test_results_and_stats_match_sequential(self):
-        seq_session, seq_taps = _tapped_session("sequential", secure=True)
-        seq_result = seq_session.run()
-        int_session, int_taps = _tapped_session("interleaved", secure=True)
-        int_result = int_session.run()
-
-        assert seq_result.to_payload() == int_result.to_payload()
-        assert (
-            seq_session.final_matrix().condensed.tolist()
-            == int_session.final_matrix().condensed.tolist()
-        )
-        assert seq_session.total_bytes() == int_session.total_bytes()
-        for link in seq_taps:
-            a, b = link
-            seq_channel = seq_session.network.channel(a, b)
-            int_channel = int_session.network.channel(a, b)
-            for x, y in ((a, b), (b, a)):
-                assert seq_channel.stats(x, y) == int_channel.stats(x, y)
-
-    def test_insecure_frames_identical_up_to_order(self):
-        """Without sealing, frames are raw payload bytes: reordering is
-        the *only* difference the scheduler may introduce."""
-        seq_session, seq_taps = _tapped_session("sequential", secure=False)
-        seq_session.run()
-        int_session, int_taps = _tapped_session("interleaved", secure=False)
-        int_session.run()
-        for link in seq_taps:
-            seq_frames = sorted(
-                (f.sender, f.recipient, f.kind, f.wire) for f in seq_taps[link].frames
-            )
-            int_frames = sorted(
-                (f.sender, f.recipient, f.kind, f.wire) for f in int_taps[link].frames
-            )
-            assert seq_frames == int_frames, f"payload bytes changed on {link}"
-
-    def test_trace_overlaps_pairs_and_attributes(self):
-        session, _ = _tapped_session("interleaved")
-        session.run()
-        trace = session.construction_trace
-        # Protocol rounds overlap: several initiates are in flight before
-        # the TP absorbs the first comparison block.
-        first_block = next(i for i, name in enumerate(trace) if ":recv_block" in name)
-        assert sum(1 for name in trace[:first_block] if ":initiate" in name) >= 3
-        # Attributes overlap: the second attribute starts before the
-        # first finalizes.
-        num_finalize = trace.index("num:finalize")
-        assert any(name.startswith("seq:") for name in trace[:num_finalize])
-
     def test_sequential_trace_is_attribute_major(self):
         session, _ = _tapped_session("sequential")
         session.run()
@@ -181,6 +137,43 @@ class TestInterleavedEquivalence:
         num_steps = [i for i, name in enumerate(trace) if name.startswith("num:")]
         seq_steps = [i for i, name in enumerate(trace) if name.startswith("seq:")]
         assert max(num_steps) < min(seq_steps)
+
+
+class TestParallelEquivalence:
+    def test_results_and_stats_match_sequential(self):
+        seq_session, seq_taps = _tapped_session("sequential", secure=True)
+        seq_result = seq_session.run()
+        par_session, _ = _tapped_session("parallel", secure=True)
+        par_result = par_session.run()
+
+        assert seq_result.to_payload() == par_result.to_payload()
+        assert (
+            seq_session.final_matrix().condensed.tolist()
+            == par_session.final_matrix().condensed.tolist()
+        )
+        assert seq_session.total_bytes() == par_session.total_bytes()
+        for link in seq_taps:
+            a, b = link
+            seq_channel = seq_session.network.channel(a, b)
+            par_channel = par_session.network.channel(a, b)
+            for x, y in ((a, b), (b, a)):
+                assert seq_channel.stats(x, y) == par_channel.stats(x, y)
+
+    def test_insecure_frames_identical_up_to_order(self):
+        """Without sealing, frames are raw payload bytes: reordering is
+        the *only* difference the scheduler may introduce."""
+        seq_session, seq_taps = _tapped_session("sequential", secure=False)
+        seq_session.run()
+        par_session, par_taps = _tapped_session("parallel", secure=False)
+        par_session.run()
+        for link in seq_taps:
+            seq_frames = sorted(
+                (f.sender, f.recipient, f.kind, f.wire) for f in seq_taps[link].frames
+            )
+            par_frames = sorted(
+                (f.sender, f.recipient, f.kind, f.wire) for f in par_taps[link].frames
+            )
+            assert seq_frames == par_frames, f"payload bytes changed on {link}"
 
 
 class TestQueueGating:
