@@ -7,7 +7,9 @@ Both backends run the same block-streamed matrix code, so neither can
 be the other's reference: the harness computes every expected result
 with plain numpy expressions on a square matrix (the oracle below) and
 holds each backend to it exactly -- which also makes ``memory`` and
-``memmap`` bit-identical to each other.  A Hypothesis property drives
+``memmap`` bit-identical to each other.  PAM's square evaluator (one
+block) and its panel evaluator (several) are both held to the seed
+PAM and to each other.  A Hypothesis property drives
 random operation *sequences* through the oracle and both backends, so
 cross-operation interactions (grow, shrink, overwrite, rescale) are
 covered, not just single calls.  Matrices of one and two objects put
@@ -33,9 +35,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.clustering import kmedoids as kmedoids_module
 from repro.clustering.kmedoids import k_medoids
 from repro.clustering.linkage import agglomerative
 from repro.clustering.quality import average_square_distance, dunn_index
+from repro.clustering.reference import reference_k_medoids
 from repro.core.config import ProtocolSuiteConfig
 from repro.distance.dissimilarity import (
     DissimilarityMatrix,
@@ -521,6 +525,90 @@ def test_random_operation_sequences_track_reference(ops, seed):
         assert_matches(memory, square)
 
 
+# -- free primitives on a plain array ----------------------------------------
+
+
+def test_free_primitives_wrap_arrays_in_place():
+    """A float64 array passed to a free primitive reads like a store of
+    the same values and takes its writes in place (it is wrapped, not
+    copied)."""
+    n = 9
+    condensed = fill_values(condensed_size(n), seed=41)
+    square = oracle_square(n, condensed)
+    store = open_store(small_spec("memmap"), condensed.size, condensed)
+    for values in (condensed, store):
+        np.testing.assert_array_equal(condensed_row_gather(values, 4, n), square[4])
+        rows, cols = np.tril_indices(n, -1)
+        best = int(np.argmin(condensed))
+        assert condensed_argmin(values, n) == (rows[best], cols[best])
+        assert condensed_has_duplicates(values) is False
+    row = square[4] + 1.0
+    condensed_row_scatter(condensed, 4, n, row)
+    square[4, :] = square[:, 4] = row
+    square[4, 4] = 0.0
+    np.testing.assert_array_equal(condensed, oracle_condensed(square))
+    store.close()
+
+
+# -- PAM's two evaluators ----------------------------------------------------
+
+#: The store layouts PAM meets.  A store that is one block (the in-memory
+#: store, or a memmap whose block holds the whole triangle) takes the
+#: square evaluator; a store of several blocks streams panels.
+PAM_LAYOUTS = {
+    "memory": StoreSpec(),
+    "memmap-one-block": StoreSpec(backend="memmap", block_entries=4096),
+    "memmap-blocks": small_spec("memmap"),
+}
+
+
+def pam_matrix(layout: str, tied: bool = False, n: int = 40) -> DissimilarityMatrix:
+    rng = np.random.default_rng(43)
+    if tied:  # small integer levels: many equal gains and costs
+        condensed = rng.integers(1, 5, size=condensed_size(n)).astype(np.float64)
+    else:
+        points = rng.normal(size=(n, 3))
+        square = np.linalg.norm(points[:, None] - points[None, :], axis=2)
+        condensed = oracle_condensed(square)
+    return DissimilarityMatrix(n, condensed, store_spec=PAM_LAYOUTS[layout])
+
+
+@pytest.mark.parametrize("layout", sorted(PAM_LAYOUTS))
+class TestPamEvaluators:
+    def test_evaluator_follows_block_count(self, layout, monkeypatch):
+        built = []
+        panels = kmedoids_module._StorePanels
+
+        def recording(matrix):
+            built.append(matrix)
+            return panels(matrix)
+
+        monkeypatch.setattr(kmedoids_module, "_StorePanels", recording)
+        matrix = pam_matrix(layout)
+        single = len(list(matrix.store.block_ranges())) == 1
+        assert single is (layout != "memmap-blocks")
+        k_medoids(matrix, 3)
+        assert len(built) == (0 if single else 1)
+
+    def test_matches_seed_reference(self, layout):
+        """Either evaluator reproduces the seed PAM; against each other
+        they agree bit for bit, costs included."""
+        for tied in (False, True):
+            matrix = pam_matrix(layout, tied)
+            square_path = pam_matrix("memory", tied)
+            for k in (1, 3, 6):
+                result = k_medoids(matrix, k)
+                ref = reference_k_medoids(square_path, k)
+                assert (
+                    result.labels,
+                    result.medoids,
+                    result.iterations,
+                    result.converged,
+                ) == (ref.labels, ref.medoids, ref.iterations, ref.converged)
+                assert result.cost == pytest.approx(ref.cost, abs=1e-9)
+                assert result.cost == k_medoids(square_path, k).cost
+
+
 # -- memmap white-box units --------------------------------------------------
 
 
@@ -582,8 +670,22 @@ class TestMemmapInternals:
             {"format": 1, "size": "x", "block_entries": 32},
             {"format": 1, "size": 64, "block_entries": 0},
             {"format": 1, "size": 64, "block_entries": -32},
+            {"format": 1, "size": -64, "block_entries": 32},
+            {"format": 1, "size": True, "block_entries": 32},
+            {"format": 1, "size": 64, "block_entries": 32.0},
+            {"format": 1, "size": 64},
         ],
-        ids=["not-an-object", "no-size", "text-size", "zero-block", "negative-block"],
+        ids=[
+            "not-an-object",
+            "no-size",
+            "text-size",
+            "zero-block",
+            "negative-block",
+            "negative-size",
+            "bool-size",
+            "float-block",
+            "no-block",
+        ],
     )
     def test_open_rejects_malformed_meta(self, tmp_path, meta):
         (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
@@ -645,6 +747,8 @@ def test_store_types_are_exposed():
 def test_float32_backend_is_rejected(monkeypatch):
     """Only the two float64 backends exist, by option and by environment."""
     both = re.escape("('memory', 'memmap')")
+    with pytest.raises(ConfigurationError, match=both):
+        StoreSpec(backend="float32")
     with pytest.raises(ConfigurationError, match=both):
         ProtocolSuiteConfig(store_backend="float32")
     monkeypatch.setenv(ENV_BACKEND, "float32")

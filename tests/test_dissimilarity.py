@@ -557,6 +557,27 @@ class TestCondensedSpanIndices:
                     assert np.array_equal(si, i[start:stop])
                     assert np.array_equal(sj, j[start:stop])
 
+    def test_whole_rows_are_the_tail_indices(self):
+        """Over whole rows the span helper is :func:`condensed_tail_indices`."""
+        from repro.distance.dissimilarity import (
+            condensed_size,
+            condensed_span_indices,
+            condensed_tail_indices,
+        )
+
+        for old, new in ((0, 1), (0, 7), (2, 3), (3, 11), (40, 41)):
+            si, sj = condensed_span_indices(condensed_size(old), condensed_size(new))
+            ti, tj = condensed_tail_indices(old, new)
+            assert np.array_equal(si, ti) and np.array_equal(sj, tj)
+
+    def test_empty_and_reversed_spans(self):
+        from repro.distance.dissimilarity import condensed_span_indices
+
+        for start, stop in ((0, 0), (5, 5), (7, 3)):
+            si, sj = condensed_span_indices(start, stop)
+            assert si.size == sj.size == 0
+            assert si.dtype == sj.dtype == np.int64
+
     def test_exact_at_large_positions(self):
         """Integer row solves stay exact where a float sqrt needs guarding."""
         from repro.distance.dissimilarity import (

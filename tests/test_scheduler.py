@@ -88,6 +88,15 @@ class TestPolicies:
         assert "'sequential'" in str(excinfo.value)
         assert "'parallel'" in str(excinfo.value)
 
+    def test_scheduler_rejects_interleaved_policy(self):
+        session, _ = _tapped_session("sequential")
+        with pytest.raises(ConfigurationError) as excinfo:
+            ConstructionScheduler(
+                session.holders, session.third_party, policy="interleaved"
+            )
+        assert "'sequential'" in str(excinfo.value)
+        assert "'parallel'" in str(excinfo.value)
+
     def test_scheduler_rejects_bad_worker_count(self):
         session, _ = _tapped_session("sequential")
         with pytest.raises(ConfigurationError):
