@@ -26,7 +26,7 @@ import time
 import pytest
 
 from repro.apps.service import ClusteringService
-from repro.core.config import ProtocolSuiteConfig, SessionConfig
+from repro.core.config import SessionConfig
 from repro.core.session import ClusteringSession
 from repro.data.alphabet import DNA_ALPHABET
 from repro.data.matrix import AttributeSpec, DataMatrix
@@ -61,8 +61,7 @@ def _partitions(rows_per_site: int = 6):
 
 
 def _session(fault_plan: FaultPlan | None) -> ClusteringSession:
-    suite = ProtocolSuiteConfig(reliable_delivery=True)
-    config = SessionConfig(num_clusters=2, master_seed=17, suite=suite)
+    config = SessionConfig(num_clusters=2, master_seed=17)
     return ClusteringSession(config, _partitions(), fault_plan=fault_plan)
 
 

@@ -61,17 +61,14 @@ class ProtocolSuiteConfig:
         parallel schedule overlaps these delays across independent
         (attribute, pair) runs, which is where its wall-clock win comes
         from on latency-bound workloads.
-    reliable_delivery:
-        Arm the network's reliable-delivery shim even without a fault
-        plan (installing a :class:`~repro.network.faults.FaultPlan` on
-        the session arms it regardless).  With the shim armed, frames
-        carry per-lane sequence numbers and payload CRCs, duplicates are
-        suppressed, and lost or damaged frames are recovered by
-        NACK/retransmit under the retry knobs below.
     retry_max_attempts:
         Delivery attempts per frame before the receiving lane gives up
-        with :class:`~repro.exceptions.LaneTimeoutError`.  This is the
-        knob that decides which fault rates the shim can *mask*.
+        with :class:`~repro.exceptions.LaneTimeoutError`.  The simulated
+        network's reliable-delivery shim (per-lane sequence numbers,
+        payload CRCs, NACK/retransmit) runs on every receive, so this
+        is the knob that decides which fault rates a
+        :class:`~repro.network.faults.FaultPlan` may inject and still
+        leave results unchanged.
     retry_backoff_base:
         First retransmit backoff in seconds; doubles per attempt.  The
         default 0 never sleeps (the in-process simulator retransmits
@@ -114,7 +111,6 @@ class ProtocolSuiteConfig:
     fresh_string_masks: bool = False
     construction_schedule: str = "sequential"
     link_latency: float = 0.0
-    reliable_delivery: bool = False
     retry_max_attempts: int = 6
     retry_backoff_base: float = 0.0
     retry_backoff_cap: float = 0.05

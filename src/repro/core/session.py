@@ -77,9 +77,9 @@ class ClusteringSession:
         many sessions.  Passing the secrets a standalone session would
         have derived leaves every transcript byte unchanged.
     fault_plan:
-        Optional seeded :class:`~repro.network.faults.FaultPlan`;
-        installing one arms the network's reliable-delivery shim with the
-        suite's retry knobs.  When ``None``, the ``REPRO_CHAOS_PRESET``
+        Optional seeded :class:`~repro.network.faults.FaultPlan`; the
+        network's reliable-delivery shim recovers what it injects under
+        the suite's retry knobs.  When ``None``, the ``REPRO_CHAOS_PRESET``
         environment variable (a preset name) installs a reproducible
         chaos plan derived from the master seed -- the CI chaos-smoke
         job's hook.
@@ -121,15 +121,10 @@ class ClusteringSession:
                     seed=f"chaos|{config.master_seed}",
                     parties=sorted(partitions),
                 )
-        retry = (
-            config.suite.retry_policy()
-            if (config.suite.reliable_delivery or fault_plan is not None)
-            else None
-        )
         self.network = Network(
             latency=config.suite.link_latency,
             fault_plan=fault_plan,
-            retry=retry,
+            retry=config.suite.retry_policy(),
         )
         self._constructed = False
         self._weights_collected = False

@@ -350,7 +350,11 @@ def _decode(reader: _Reader) -> Any:
     if tag == _TAG_FLOAT:
         return float(struct.unpack(">d", reader.take(8))[0])
     if tag == _TAG_STR:
-        return reader.take(reader.length()).decode("utf-8")
+        body = reader.take(reader.length())
+        try:
+            return body.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ChannelError(f"string body is not valid UTF-8: {exc.reason}") from None
     if tag == _TAG_BYTES:
         return reader.take(reader.length())
     if tag == _TAG_LIST:
@@ -372,13 +376,29 @@ def _decode(reader: _Reader) -> Any:
         result = {}
         for _ in range(count):
             key = _decode(reader)
+            if not isinstance(key, str):
+                raise ChannelError(f"dict keys must be str, got {type(key).__name__}")
             result[key] = _decode(reader)
         return result
     if tag == _TAG_ARRAY:
         dtype_name = _decode(reader)
+        if not isinstance(dtype_name, str) or dtype_name not in _ALLOWED_DTYPES:
+            raise ChannelError(f"unsupported array dtype {str(dtype_name)[:32]!r}")
         shape = _decode(reader)
+        if not isinstance(shape, tuple) or not all(
+            type(dim) is int and dim >= 0 for dim in shape
+        ):
+            raise ChannelError(
+                f"array shape must be a tuple of ints >= 0, got {type(shape).__name__}"
+            )
         raw = reader.take(reader.length())
-        return np.frombuffer(raw, dtype=np.dtype(dtype_name)).reshape(shape).copy()
+        try:
+            return np.frombuffer(raw, dtype=np.dtype(dtype_name)).reshape(shape).copy()
+        except ValueError:
+            raise ChannelError(
+                f"{len(raw)} byte(s) do not fill a {len(shape)}-dim "
+                f"{dtype_name} array of the declared shape"
+            ) from None
     raise ChannelError(f"unknown serialization tag {tag!r}")
 
 

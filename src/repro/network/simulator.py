@@ -1,33 +1,28 @@
 """The simulated network: parties, links, lanes and traffic accounting.
 
 A :class:`Network` is the single shared object every party holds.  It
-owns all channels, delivers messages into per-recipient FIFO queues, and
-aggregates the byte counters the communication-cost benchmarks read out.
+owns all channels, delivers messages into one
+:class:`~repro.network.lanes.LaneInbox` per recipient, and aggregates
+the byte counters the communication-cost benchmarks read out.
 
-Since the parallel-execution PR the network is **concurrency-safe**:
-the construction scheduler's ``"parallel"`` policy runs protocol steps
-on real worker threads, so delivery, accounting and eavesdropper taps
-are all lock-protected.  Delivery queues are organised as *lanes*:
+The network is **concurrency-safe**: the construction scheduler's
+``"parallel"`` policy runs protocol steps on real worker threads, so
+delivery, accounting and eavesdropper taps are all lock-protected.
+Every message lands in its recipient's ``(sender, kind, tag)`` lane, and
+receives follow the contract of :mod:`repro.network.transport`: a lane
+receive (``tag`` given) takes that lane's head and nothing else; a
+tagless receive takes the oldest message, or the oldest from
+``sender``.  Tags are attribute-scoped (``"numeric/age"``), so one lane
+carries exactly one protocol run's message stream per holder pair
+direction -- concurrent runs on the same link never contend for a
+queue head.
 
-* Every message lands in the lane keyed by ``(sender, kind, tag)`` of
-  its recipient's queue table.  Tags are attribute-scoped
-  (``"numeric/age"``), so one lane carries exactly one protocol run's
-  message stream per holder pair direction -- concurrent runs on the
-  same link never contend for queue-head gating.
-* A *lane receive* (``tag`` given) pops that lane's head and nothing
-  else; protocol runs on different attributes or pairs can therefore
-  drain their messages in any interleaving without mis-delivery.
-* A *legacy receive* (no ``tag``) pops the recipient's global FIFO head
-  -- the message with the lowest arrival number across all lanes --
-  which is byte-for-byte the pre-lane behaviour: single-threaded
-  drivers and the sequential schedule are unchanged.
-
-Since the fault-tolerance PR the network can also be **unreliable on
-purpose**: installing a :class:`~repro.network.faults.FaultPlan` (or
-passing ``retry``) arms the *reliable-delivery shim*.  Every frame then
+Every receive is the **reliable-delivery shim**'s loop.  Each frame
 carries a per-lane sequence number and the sending channel's payload
-CRC; the receive path becomes a NACK/retransmit loop driven by a
-:class:`~repro.network.retry.RetryPolicy`:
+CRC, and a receive NACKs and retransmits under a
+:class:`~repro.network.retry.RetryPolicy`; on perfect links it delivers
+on its first scan.  Installing a :class:`~repro.network.faults.FaultPlan`
+makes the links unreliable on purpose, and the loop recovers:
 
 * **dropped** frames stay in the lane as placeholders (so FIFO order
   and "was this ever sent?" stay unambiguous) and are repaired by
@@ -36,7 +31,7 @@ CRC; the receive path becomes a NACK/retransmit loop driven by a
 * **corrupted** frames fail the CRC integrity check on open and are
   repaired the same way;
 * **duplicated** frames share their original's sequence number and are
-  suppressed at delivery;
+  suppressed when the original is delivered;
 * **delayed** frames become deliverable after a bounded number of
   receive polls;
 * frames to a **crashed** party are lost while the outage lasts; a
@@ -62,28 +57,22 @@ from __future__ import annotations
 
 import threading
 import time
-from collections import deque
-from dataclasses import dataclass, field
-from typing import Any, Iterable, Mapping
+from dataclasses import dataclass
+from typing import Any, Mapping
 
 from repro.crypto.prng import ReseedablePRNG
-from repro.exceptions import (
-    ChannelError,
-    LaneTimeoutError,
-    PartyCrashError,
-    ProtocolError,
-)
+from repro.exceptions import ChannelError, LaneTimeoutError, PartyCrashError
 from repro.network.channel import Channel, Eavesdropper
-from repro.network.faults import FaultPlan
+from repro.network.faults import FaultDecision, FaultPlan
+from repro.network.lanes import Lane, LaneInbox
 from repro.network.message import Message
 from repro.network.retry import RetryPolicy
 from repro.network.transport import Transport
 
-#: Lane key: ``(sender, kind, tag)`` of a message, per recipient.
-LaneKey = tuple[str, str, str]
-
-#: How many queued messages a diagnostic snapshot lists before truncating.
-_SNAPSHOT_LIMIT = 12
+#: The fate of a transmission without a fault plan, and of one to a
+#: party that is down.
+_PERFECT = FaultDecision()
+_LOST = FaultDecision(deliver=False)
 
 
 @dataclass
@@ -94,26 +83,27 @@ class _Frame:
     fault layer tampered with the frame, in which case the receive
     path's integrity check catches the mismatch.  ``status`` tracks
     placeholder states: ``"dropped"`` (lost in flight, awaiting
-    retransmit), ``"delayed"`` (deliverable after ``delay_polls``
-    receive polls) and ``"dup"`` (network-duplicated copy, suppressed
-    at delivery).  Mutated only under the recipient's lock.
+    retransmit) and ``"delayed"`` (deliverable after ``delay_polls``
+    receive polls).  Mutated only under the recipient's lock.
     """
 
     message: Message
     seq: int
-    crc: int
+    crc: int = 0
     status: str = "ok"
     delay_polls: int = 0
     retransmits: int = 0
 
-
-@dataclass(frozen=True)
-class _Scan:
-    """Outcome of one locked lane scan."""
-
-    action: str  # "deliver" | "wait" | "retransmit" | "missing"
-    lane: LaneKey | None = None
-    frame: _Frame | None = None
+    def arrive(self, message: Message, fate: FaultDecision) -> None:
+        """Record one transmission of this frame and what the links did
+        to it (``FaultPlan.decide`` never both corrupts and delays)."""
+        self.message = message
+        self.crc = message.crc ^ fate.tamper if fate.corrupt else message.crc
+        self.status, self.delay_polls = "ok", 0
+        if not fate.deliver:
+            self.status = "dropped"
+        elif fate.delay_polls:
+            self.status, self.delay_polls = "delayed", fate.delay_polls
 
 
 class Network(Transport):
@@ -138,30 +128,20 @@ class Network(Transport):
         self.latency = float(latency)
         #: Active fault schedule (``None`` = perfect links).
         self.fault_plan = fault_plan
-        #: Retry policy of the reliable shim; set iff the shim is armed.
-        self.retry_policy: RetryPolicy | None = None
-        if fault_plan is not None or retry is not None:
-            self.retry_policy = retry if retry is not None else RetryPolicy()
+        #: Attempt budget and pacing of the receive loop's recovery.
+        self.retry_policy = retry if retry is not None else RetryPolicy()
         # guarded-by: self._registry_lock
         self._parties: set[str] = set()
         # guarded-by: self._registry_lock
         self._channels: dict[frozenset[str], Channel] = {}
-        #: Per recipient: lane key -> deque of (arrival number, frame).
-        #: Registration populates the outer dict; delivery mutates a
-        #: recipient's lane table under that recipient's own lock.
+        #: Per recipient: its lane inbox.  Registration populates the
+        #: dict; delivery mutates an inbox under its recipient's lock.
         # guarded-by: self._registry_lock | self._locks[*]
-        self._lanes: dict[str, dict[LaneKey, deque[tuple[int, _Frame]]]] = {}
-        #: Per recipient: next arrival number (global FIFO order in lanes).
-        # guarded-by: self._registry_lock | self._locks[*]
-        self._arrivals: dict[str, int] = {}
+        self._inboxes: dict[str, LaneInbox[_Frame]] = {}
         #: Per recipient: next outbound sequence number per lane.
         # guarded-by: self._registry_lock | self._locks[*]
-        self._next_seq: dict[str, dict[LaneKey, int]] = {}
-        #: Per recipient: next expected sequence number per lane (what
-        #: duplicate suppression measures against).
-        # guarded-by: self._registry_lock | self._locks[*]
-        self._expected: dict[str, dict[LaneKey, int]] = {}
-        #: Per recipient: guards that recipient's lane table and counters.
+        self._next_seq: dict[str, dict[Lane, int]] = {}
+        #: Per recipient: guards that recipient's inbox and counters.
         # guarded-by: self._registry_lock
         self._locks: dict[str, threading.Lock] = {}
         #: Recovery counters (:meth:`reliability_stats`).
@@ -179,11 +159,6 @@ class Network(Transport):
         #: but nothing stops a test hammering topology concurrently).
         self._registry_lock = threading.Lock()
 
-    @property
-    def reliable(self) -> bool:
-        """Whether the reliable-delivery shim is armed."""
-        return self.retry_policy is not None
-
     def install_fault_plan(
         self, plan: FaultPlan, retry: RetryPolicy | None = None
     ) -> None:
@@ -194,8 +169,8 @@ class Network(Transport):
         already queued are unaffected.
         """
         self.fault_plan = plan
-        if retry is not None or self.retry_policy is None:
-            self.retry_policy = retry if retry is not None else RetryPolicy()
+        if retry is not None:
+            self.retry_policy = retry
 
     # -- topology ----------------------------------------------------------
 
@@ -207,10 +182,8 @@ class Network(Transport):
             if name in self._parties:
                 raise ChannelError(f"party {name!r} already registered")
             self._parties.add(name)
-            self._lanes[name] = {}
-            self._arrivals[name] = 0
+            self._inboxes[name] = LaneInbox(name)
             self._next_seq[name] = {}
-            self._expected[name] = {}
             self._locks[name] = threading.Lock()
 
     @property
@@ -260,8 +233,8 @@ class Network(Transport):
 
         With a fault plan installed the frame may instead be dropped,
         duplicated, corrupted or delayed -- always leaving a placeholder
-        in the lane, so the reliable receive path can tell "lost in
-        flight" from "never sent" and recover the former by retransmit.
+        in the lane, so the receive loop can tell "lost in flight" from
+        "never sent" and recover the former by retransmit.
         """
         plan = self.fault_plan
         if plan is not None and plan.permanently_down(sender):
@@ -277,123 +250,64 @@ class Network(Transport):
             # which is the concurrency a real deployment has.
             time.sleep(self.latency)  # reprolint: disable=RL103 -- models time-in-flight only; no protocol value ever depends on the clock
         self._require_party(recipient)
-        lost_to_crash = False
-        decision = None
-        if plan is not None:
-            lost_to_crash = plan.absorb_frame_to(recipient)
-            decision = plan.decide(sender, recipient, kind, tag)
-        if lost_to_crash:
-            with self._stats_lock:
-                self._rel_stats["crash_losses"] += 1
+        fate = self._fate(sender, recipient, kind, tag, retransmission=False)
+        lane: Lane = (sender, kind, tag)
         with self._locks[recipient]:
-            lanes = self._lanes[recipient]
-            lane_key: LaneKey = (sender, kind, tag)
-            lane = lanes.get(lane_key)
-            if lane is None:
-                lane = lanes[lane_key] = deque()
-            seq = self._next_seq[recipient].get(lane_key, 0)
-            self._next_seq[recipient][lane_key] = seq + 1
-            frame = _Frame(message=message, seq=seq, crc=message.crc)
-            if lost_to_crash or (decision is not None and not decision.deliver):
-                frame.status = "dropped"
-            elif decision is not None and decision.corrupt:
-                frame.crc = message.crc ^ decision.tamper
-            elif decision is not None and decision.delay_polls:
-                frame.status = "delayed"
-                frame.delay_polls = decision.delay_polls
-            arrival = self._arrivals[recipient]
-            self._arrivals[recipient] = arrival + 1
-            lane.append((arrival, frame))
-            if decision is not None and decision.duplicate and frame.status != "dropped":
+            seqs = self._next_seq[recipient]
+            seq = seqs.get(lane, 0)
+            seqs[lane] = seq + 1
+            frame = _Frame(message=message, seq=seq)
+            frame.arrive(message, fate)
+            inbox = self._inboxes[recipient]
+            inbox.put(lane, frame)
+            if fate.duplicate and fate.deliver:
                 # A network-level duplicate: same wire frame twice, so it
                 # shares the original's seq/crc and charges no new bytes.
-                dup = _Frame(
-                    message=message, seq=seq, crc=frame.crc, status="dup"
-                )
-                dup_arrival = self._arrivals[recipient]
-                self._arrivals[recipient] = dup_arrival + 1
-                lane.append((dup_arrival, dup))
+                inbox.put(lane, _Frame(message=message, seq=seq, crc=frame.crc))
 
-    def _snapshot_locked(self, recipient: str) -> str:
-        """Human-readable queue state (kinds + senders, FIFO order,
-        truncated) -- must hold the recipient's lock."""
-        queued = sorted(
-            (arrival, key)
-            for key, lane in self._lanes[recipient].items()
-            for arrival, _ in lane
-        )
-        if not queued:
-            return "queue empty"
-        shown = [
-            f"{kind}<-{sender}" + (f" [{tag}]" if tag else "")
-            for _, (sender, kind, tag) in queued[:_SNAPSHOT_LIMIT]
-        ]
-        more = len(queued) - len(shown)
-        suffix = f", ... +{more} more" if more else ""
-        return f"queued: {', '.join(shown)}{suffix}"
+    def _fate(
+        self, sender: str, recipient: str, kind: str, tag: str, retransmission: bool
+    ) -> FaultDecision:
+        """What the links do to one transmission (always a clean pass on
+        perfect links); frames to a party that is down are lost."""
+        plan = self.fault_plan
+        if plan is None:
+            return _PERFECT
+        lost = plan.absorb_frame_to(recipient)
+        fate = plan.decide(sender, recipient, kind, tag, retransmission=retransmission)
+        if not lost:
+            return fate
+        self._bump("crash_losses")
+        return _LOST
 
     def _bump(self, counter: str, amount: int = 1) -> None:
         with self._stats_lock:
             self._rel_stats[counter] += amount
 
-    # -- reliable scanning (all *_locked: caller holds recipient's lock) ---
-
-    def _purge_stale_locked(self, recipient: str, key: LaneKey) -> None:
-        """Drop suppressed frames (dups / already-delivered seqs) at the
-        head of one lane; deletes the lane when it empties."""
-        lanes = self._lanes[recipient]
-        lane = lanes.get(key)
-        if lane is None:
-            return
-        expected = self._expected[recipient].get(key, 0)
-        while lane and (
-            lane[0][1].seq < expected or lane[0][1].status == "dup"
-        ):
-            lane.popleft()
-            self._bump("duplicates_suppressed")
-        if not lane:
-            del lanes[key]
-
-    def _scan_lane_locked(self, recipient: str, key: LaneKey) -> _Scan:
-        """Resolve one lane's head toward delivery (reliable mode)."""
-        self._purge_stale_locked(recipient, key)
-        lanes = self._lanes[recipient]
-        lane = lanes.get(key)
-        if not lane:
-            return _Scan("missing", key)
-        _, frame = lane[0]
+    def _scan_locked(self, inbox: LaneInbox[_Frame], lane: Lane, frame: _Frame) -> str:
+        """Resolve a lane's head ``frame`` toward delivery (caller holds
+        the recipient's lock): ``"deliver"`` takes it and the duplicates
+        queued behind it; ``"wait"`` and ``"retransmit"`` leave it."""
         if frame.status == "dropped":
-            return _Scan("retransmit", key, frame)
+            return "retransmit"
         if frame.status == "delayed":
             frame.delay_polls -= 1
             if frame.delay_polls > 0:
-                return _Scan("wait", key, frame)
+                return "wait"
             frame.status = "ok"
             self._bump("delayed_deliveries")
         if frame.crc != frame.message.crc:
             # Integrity check on open failed: the frame was corrupted in
             # flight.  Treat like a drop -- NACK and retransmit.
             self._bump("corrupt_detected")
-            return _Scan("retransmit", key, frame)
-        lane.popleft()
-        self._expected[recipient][key] = frame.seq + 1
-        self._purge_stale_locked(recipient, key)
-        return _Scan("deliver", key, frame)
+            return "retransmit"
+        inbox.pop(lane)
+        while (dup := inbox.head(lane)) is not None and dup.seq <= frame.seq:
+            inbox.pop(lane)
+            self._bump("duplicates_suppressed")
+        return "deliver"
 
-    def _head_lane_locked(self, recipient: str) -> LaneKey | None:
-        """Lane holding the global FIFO head (stale frames purged)."""
-        lanes = self._lanes[recipient]
-        for key in list(lanes):
-            self._purge_stale_locked(recipient, key)
-        best_key: LaneKey | None = None
-        best_arrival = -1
-        for key, lane in lanes.items():
-            arrival = lane[0][0]
-            if best_key is None or arrival < best_arrival:
-                best_key, best_arrival = key, arrival
-        return best_key
-
-    def _retransmit(self, recipient: str, key: LaneKey, frame: _Frame) -> None:
+    def _retransmit(self, recipient: str, lane: Lane, frame: _Frame) -> None:
         """Re-send one lost/damaged frame through its channel.
 
         The retransmitted payload is the original one, so recovery never
@@ -401,100 +315,73 @@ class Network(Transport):
         fault plan sees the retransmission too (crash outages absorb it;
         rate faults only with ``fault_retransmits``).
         """
-        sender, kind, tag = key
-        plan = self.fault_plan
+        sender, kind, tag = lane
         message = self.channel(sender, recipient).transmit(
             sender, recipient, kind, tag, frame.message.payload
         )
-        lost = False
-        decision = None
-        if plan is not None:
-            lost = plan.absorb_frame_to(recipient)
-            decision = plan.decide(sender, recipient, kind, tag, retransmission=True)
+        fate = self._fate(sender, recipient, kind, tag, retransmission=True)
         self._bump("retransmits")
-        if lost:
-            self._bump("crash_losses")
         with self._locks[recipient]:
             frame.retransmits += 1
-            if lost or (decision is not None and not decision.deliver):
-                frame.status = "dropped"
-                return
-            frame.message = message
-            frame.crc = message.crc
-            if decision is not None and decision.corrupt:
-                frame.crc = message.crc ^ decision.tamper
-            if decision is not None and decision.delay_polls:
-                frame.status = "delayed"
-                frame.delay_polls = decision.delay_polls
-            else:
-                frame.status = "ok"
-                frame.delay_polls = 0
+            frame.arrive(message, fate)
 
-    def _receive_reliable(
+    def receive(
         self,
         recipient: str,
-        kind: str | None,
-        sender: str | None,
-        tag: str | None,
+        kind: str | None = None,
+        sender: str | None = None,
+        tag: str | None = None,
     ) -> Message:
-        """The NACK/retransmit receive loop (fault plan or retry armed)."""
+        """Take the next message for ``recipient``.
+
+        A lane receive (``tag``, which requires ``kind`` and ``sender``)
+        takes the head of exactly the ``(sender, kind, tag)`` lane -- the
+        receive a concurrent protocol run uses, immune to whatever other
+        runs have in flight.  A tagless receive takes the oldest message,
+        or the oldest from ``sender``, and raises :class:`ProtocolError`
+        after taking it when its kind is not ``kind``: the protocol
+        state machines have diverged, and the error names the queue
+        state so the mis-scheduling is diagnosable.  Nothing to take
+        raises :class:`ProtocolError` at once.
+
+        The head is recovered first: lost or damaged frames are NACKed
+        and retransmitted under the :class:`RetryPolicy`, duplicates
+        are suppressed, and a lane that cannot be recovered raises
+        :class:`~repro.exceptions.LaneTimeoutError`.
+        """
+        self._require_party(recipient)
+        plan = self.fault_plan
+        if plan is not None and plan.permanently_down(recipient):
+            raise PartyCrashError(
+                recipient, f"party {recipient!r} has crashed and cannot receive"
+            )
         policy = self.retry_policy
-        assert policy is not None
         started = policy.start_clock()
         attempts = 0
-        lane_key: LaneKey | None = (
-            (sender, kind, tag)
-            if tag is not None and kind is not None and sender is not None
-            else None
-        )
         while True:
             with self._locks[recipient]:
-                if lane_key is not None:
-                    scan = self._scan_lane_locked(recipient, lane_key)
-                else:
-                    head_key = self._head_lane_locked(recipient)
-                    if head_key is None:
-                        scan = _Scan("missing")
-                    else:
-                        scan = self._scan_lane_locked(recipient, head_key)
-                if scan.action == "missing":
-                    if lane_key is not None:
-                        raise ProtocolError(
-                            f"{recipient!r} has no pending {kind!r} from "
-                            f"{sender!r} on lane {tag!r}; "
-                            f"{self._snapshot_locked(recipient)}"
-                        )
-                    raise ProtocolError(f"{recipient!r} has no pending messages")
-                if scan.action == "deliver":
-                    assert scan.frame is not None
-                    message = scan.frame.message
-                    if kind is not None and message.kind != kind:
-                        raise ProtocolError(
-                            f"{recipient!r} expected kind {kind!r}, got "
-                            f"{message.kind!r} from {message.sender!r}; after "
-                            f"popping the head, {self._snapshot_locked(recipient)}"
-                        )
-                    if sender is not None and message.sender != sender:
-                        raise ProtocolError(
-                            f"{recipient!r} expected sender {sender!r}, got "
-                            f"{message.sender!r} (kind {message.kind!r}); after "
-                            f"popping the head, {self._snapshot_locked(recipient)}"
-                        )
-                    return message
+                inbox = self._inboxes[recipient]
+                lane = inbox.select(kind, sender, tag)
+                frame = inbox.head(lane) if lane is not None else None
+                if lane is None or frame is None:
+                    raise inbox.missing(kind, sender, tag)
+                action = self._scan_locked(inbox, lane, frame)
+                if action == "deliver":
+                    inbox.check_kind(lane, kind)
+                    return frame.message
             # "retransmit" or "wait": spend one attempt, then recover.
             attempts += 1
-            assert scan.lane is not None and scan.frame is not None
             if attempts >= policy.max_attempts or policy.expired(started):
-                lane_sender, lane_kind, lane_tag = scan.lane
                 reason = (
-                    f"frame seq {scan.frame.seq} still "
-                    f"{scan.frame.status!r} after {scan.frame.retransmits} retransmit(s)"
+                    f"frame seq {frame.seq} still {frame.status!r} "
+                    f"after {frame.retransmits} retransmit(s)"
                 )
                 # Abandon the dead frame: discard it from its lane so
                 # later traffic -- and the serial scheduler's queue-head
                 # gating -- can move past it instead of deadlocking on a
                 # placeholder that will never be recovered.
-                self._abandon_frame(recipient, scan.lane, scan.frame)
+                self._abandon_frame(recipient, lane, frame)
+                lane_sender, lane_kind, lane_tag = lane
                 raise LaneTimeoutError(
                     lane_sender,
                     recipient,
@@ -504,10 +391,10 @@ class Network(Transport):
                     reason=reason,
                 )
             policy.backoff(attempts)
-            if scan.action == "retransmit":
-                self._retransmit(recipient, scan.lane, scan.frame)
+            if action == "retransmit":
+                self._retransmit(recipient, lane, frame)
 
-    def _abandon_frame(self, recipient: str, key: LaneKey, frame: _Frame) -> None:
+    def _abandon_frame(self, recipient: str, lane: Lane, frame: _Frame) -> None:
         """Discard an unrecoverable frame *and the lane queued behind it*.
 
         A lane is FIFO: once its head has exhausted the retry budget,
@@ -519,132 +406,34 @@ class Network(Transport):
         after a *tolerated* timeout: the network reports clean instead
         of leaking the abandoned entries forever.
         """
-        abandoned = 0
         with self._locks[recipient]:
-            lanes = self._lanes[recipient]
-            lane = lanes.get(key)
-            if lane and lane[0][1] is frame:
-                abandoned = len(lane)
-                highest = max(queued.seq for _, queued in lane)
-                lane.clear()
-                self._expected[recipient][key] = highest + 1
-                del lanes[key]
+            inbox = self._inboxes[recipient]
+            abandoned = inbox.discard(lane) if inbox.head(lane) is frame else 0
         if abandoned:
             self._bump("frames_abandoned", abandoned)
-
-    def receive(
-        self,
-        recipient: str,
-        kind: str | None = None,
-        sender: str | None = None,
-        tag: str | None = None,
-    ) -> Message:
-        """Pop the next queued message for ``recipient``.
-
-        With ``tag`` (which requires ``kind`` and ``sender``), pops the
-        head of exactly the ``(sender, kind, tag)`` lane -- the receive a
-        concurrent protocol run uses, immune to whatever other runs have
-        in flight.  Without ``tag``, pops the recipient's global FIFO
-        head; ``kind``/``sender`` then act as assertions: a mismatch
-        means the protocol state machines have diverged, so we raise
-        :class:`ProtocolError` (naming the full queue state, so a
-        mis-scheduling is diagnosable) rather than mis-deliver.
-
-        With the reliable shim armed, this is the recovery loop: lost or
-        damaged frames are NACKed and retransmitted under the
-        :class:`RetryPolicy`, duplicates are suppressed, and a lane that
-        cannot be recovered raises
-        :class:`~repro.exceptions.LaneTimeoutError`.
-        """
-        self._require_party(recipient)
-        if tag is not None and (kind is None or sender is None):
-            raise ChannelError(
-                "lane receive requires kind and sender alongside tag"
-            )
-        plan = self.fault_plan
-        if plan is not None and plan.permanently_down(recipient):
-            raise PartyCrashError(
-                recipient, f"party {recipient!r} has crashed and cannot receive"
-            )
-        if self.reliable:
-            return self._receive_reliable(recipient, kind, sender, tag)
-        with self._locks[recipient]:
-            if tag is not None:
-                assert kind is not None and sender is not None
-                lanes = self._lanes[recipient]
-                lane = lanes.get((sender, kind, tag))
-                if not lane:
-                    raise ProtocolError(
-                        f"{recipient!r} has no pending {kind!r} from {sender!r} "
-                        f"on lane {tag!r}; {self._snapshot_locked(recipient)}"
-                    )
-                _, frame = lane.popleft()
-                if not lane:
-                    del lanes[(sender, kind, tag)]
-                return frame.message
-            message = self._pop_head_locked(recipient)
-            if message is None:
-                raise ProtocolError(f"{recipient!r} has no pending messages")
-            if kind is not None and message.kind != kind:
-                raise ProtocolError(
-                    f"{recipient!r} expected kind {kind!r}, got {message.kind!r} "
-                    f"from {message.sender!r}; after popping the head, "
-                    f"{self._snapshot_locked(recipient)}"
-                )
-            if sender is not None and message.sender != sender:
-                raise ProtocolError(
-                    f"{recipient!r} expected sender {sender!r}, got "
-                    f"{message.sender!r} (kind {message.kind!r}); after popping "
-                    f"the head, {self._snapshot_locked(recipient)}"
-                )
-            return message
-
-    def _pop_head_locked(self, recipient: str) -> Message | None:
-        """Pop the global FIFO head across lanes (lowest arrival)."""
-        lanes = self._lanes[recipient]
-        best_key: LaneKey | None = None
-        best_arrival = -1
-        for key, lane in lanes.items():
-            arrival = lane[0][0]
-            if best_key is None or arrival < best_arrival:
-                best_key, best_arrival = key, arrival
-        if best_key is None:
-            return None
-        lane = lanes[best_key]
-        _, frame = lane.popleft()
-        if not lane:
-            del lanes[best_key]
-        return frame.message
 
     def pending(self, recipient: str) -> int:
         """Number of undelivered messages for a party."""
         self._require_party(recipient)
         with self._locks[recipient]:
-            return sum(len(lane) for lane in self._lanes[recipient].values())
+            return len(self._inboxes[recipient])
 
     def peek(self, recipient: str) -> Message | None:
-        """The message a legacy :meth:`receive` would pop next.
+        """The message a tagless :meth:`receive` would take next.
 
         The sequential construction schedule uses this to gate a receive
-        step on its message actually being the FIFO head -- steps never
-        mis-deliver no matter how they are ordered.  Under the
-        reliable shim, placeholders of dropped/delayed frames *are* the
-        logical head (they will be recovered and delivered), so gating
-        still sees the schedule the fault-free run would.
+        step on its message actually being the oldest queued -- steps
+        never mis-deliver no matter how they are ordered.  Placeholders
+        of dropped/delayed frames *are* that message (they will be
+        recovered and delivered), so gating under a fault plan still
+        sees the schedule the fault-free run would.
         """
         self._require_party(recipient)
         with self._locks[recipient]:
-            if self.reliable:
-                key = self._head_lane_locked(recipient)
-                if key is None:
-                    return None
-                return self._lanes[recipient][key][0][1].message
-            lanes = self._lanes[recipient]
-            best: tuple[int, _Frame] | None = None
-            for lane in lanes.values():
-                if best is None or lane[0][0] < best[0]:
-                    best = lane[0]
-            return best[1].message if best else None
+            inbox = self._inboxes[recipient]
+            lane = inbox.select(None, None, None)
+            frame = inbox.head(lane) if lane is not None else None
+            return frame.message if frame is not None else None
 
     def drain(self, recipient: str | None = None) -> int:
         """Discard every queued frame (one party's or everyone's).
@@ -659,13 +448,11 @@ class Network(Transport):
         for name in names:
             self._require_party(name)
             with self._locks[name]:
-                for lane in self._lanes[name].values():
-                    dropped += len(lane)
-                self._lanes[name].clear()
+                dropped += self._inboxes[name].clear()
         return dropped
 
     def reliability_stats(self) -> dict[str, int]:
-        """Recovery counters of the reliable shim (all zero when off)."""
+        """Recovery counters of the reliable shim (all zero on perfect links)."""
         with self._stats_lock:
             return dict(self._rel_stats)
 
@@ -745,11 +532,3 @@ class Network(Transport):
                 (other,) = link - {party}
                 total += channel.stats(party, other).messages
         return total
-
-    def assert_drained(self, parties: Iterable[str] | None = None) -> None:
-        """Raise unless every queue is empty (protocol completed cleanly)."""
-        names = list(parties) if parties is not None else sorted(self._parties)
-        leftovers = {name: self.pending(name) for name in names}
-        leftovers = {name: count for name, count in leftovers.items() if count}
-        if leftovers:
-            raise ProtocolError(f"undelivered messages remain: {leftovers}")

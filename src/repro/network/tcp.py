@@ -57,11 +57,11 @@ from repro.exceptions import (
     ChannelError,
     LaneTimeoutError,
     PartyCrashError,
-    ProtocolError,
     SessionResetError,
 )
 from repro.network import handshake as hs
 from repro.network.handshake import LinkCipher, LinkSecurity
+from repro.network.lanes import LaneInbox
 from repro.network.message import Message
 from repro.network.retry import RetryPolicy
 from repro.network.serialization import (
@@ -138,7 +138,9 @@ class _Peer:
         self.acked = 0
         #: Replay buffer of unacked outbound frames: (seq, frame bytes).
         self.outbox: deque[tuple[int, bytes]] = deque()
-        #: Data frames from a future era, held until :meth:`begin_era`.
+        #: Data frames of an era the local party has not begun, held
+        #: until :meth:`begin_era` (at most ``outbox_limit``: parked
+        #: frames are never acked).
         self.parked: list[hs.DataFrame] = []
         #: Peer's delivered-count from its last hello (in its hello era).
         self.remote_delivered = 0
@@ -225,9 +227,7 @@ class SocketTransport(Transport):
         }
         self._cond = threading.Condition()
         # guarded-by: self._cond
-        self._inbox: list[tuple[int, Message]] = []
-        # guarded-by: self._cond
-        self._arrival = 0
+        self._inbox: LaneInbox[Message] = LaneInbox(local)
         # guarded-by: self._cond
         self._incarnations: dict[str, int] = {name: 1 for name in self._addresses}
         self._incarnations[local] = incarnation
@@ -562,9 +562,20 @@ class SocketTransport(Transport):
         with self._cond:
             era = self._era
             expected = peer.delivered
+            # A reset voids the era at once, but the new one starts only
+            # at begin_era, which clears the inbox: deliver before that
+            # and the frame (already acked) would be lost.
+            begun = self._pending_reset is None
         if frame.era < era:
             return  # stale era: the sender will reset and re-send
-        if frame.era > era:
+        if frame.era > era or not begun:
+            if len(peer.parked) >= self._outbox_limit:
+                # An honest peer cannot have more unacked frames in
+                # flight than its outbox holds.
+                raise ChannelError(
+                    f"connection from {peer.name!r} desynchronised: more "
+                    f"than {self._outbox_limit} future-era data frames parked"
+                )
             peer.parked.append(frame)
             return
         if frame.seq < expected:
@@ -602,8 +613,7 @@ class SocketTransport(Transport):
         )
         with self._cond:
             peer.delivered = frame.seq + 1
-            self._inbox.append((self._arrival, message))
-            self._arrival += 1
+            self._inbox.put((peer.name, frame.kind, frame.tag), message)
             self._cond.notify_all()
 
     def _process_ack(self, peer: _Peer, ack: hs.Ack) -> None:
@@ -761,8 +771,6 @@ class SocketTransport(Transport):
             raise ChannelError(
                 f"this endpoint receives as {self._local!r}, not {recipient!r}"
             )
-        if tag is not None and (kind is None or sender is None):
-            raise ChannelError("lane receive requires kind and sender alongside tag")
         if sender is not None and sender not in self._peers:
             raise ChannelError(f"unknown party {sender!r}")
         policy = self._receive_policy
@@ -770,7 +778,7 @@ class SocketTransport(Transport):
         with self._cond:
             while True:
                 self._raise_reset_locked()
-                message = self._match_locked(kind, sender, tag)
+                message = self._inbox.take(kind, sender, tag)
                 if message is not None:
                     return message
                 if sender is not None and self._peers[sender].status == DEAD:
@@ -790,35 +798,6 @@ class SocketTransport(Transport):
                     )
                 self._cond.wait(0.05)
 
-    def _match_locked(
-        self, kind: str | None, sender: str | None, tag: str | None
-    ) -> Message | None:
-        """Pop the matching inbox entry (caller holds ``self._cond``).
-
-        Mirrors the simulator's semantics: a lane receive pops the first
-        frame of exactly that ``(sender, kind, tag)`` lane; a tagless
-        receive pops the arrival-order head (scoped to ``sender`` when
-        given) and treats ``kind`` as an assertion.
-        """
-        for index, (_, message) in enumerate(self._inbox):
-            if tag is not None:
-                if (
-                    message.sender == sender
-                    and message.kind == kind
-                    and message.tag == tag
-                ):
-                    return self._inbox.pop(index)[1]
-                continue
-            if sender is not None and message.sender != sender:
-                continue
-            if kind is not None and message.kind != kind:
-                raise ProtocolError(
-                    f"{self._local!r} expected kind {kind!r}, got "
-                    f"{message.kind!r} from {message.sender!r}"
-                )
-            return self._inbox.pop(index)[1]
-        return None
-
     def pending(self, recipient: str) -> int:
         if recipient != self._local:
             raise ChannelError(f"unknown party {recipient!r}")
@@ -829,9 +808,7 @@ class SocketTransport(Transport):
         if recipient is not None and recipient != self._local:
             raise ChannelError(f"unknown party {recipient!r}")
         with self._cond:
-            dropped = len(self._inbox)
-            self._inbox.clear()
-            return dropped
+            return self._inbox.clear()
 
     # -- era reset / checkpoint integration --------------------------------
 

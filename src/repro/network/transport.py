@@ -14,21 +14,32 @@ abstract base class so the same protocol code runs unchanged over:
   with DH handshake, heartbeat liveness, and reconnect/resume (see
   ``repro.apps.cluster`` for the process supervisor).
 
-The delivery contract all implementations honour:
+The delivery contract is one piece of code: both implementations queue
+delivered messages in a :class:`~repro.network.lanes.LaneInbox` per
+local party, which chooses what a receive takes and words its errors.
 
 * Messages land in *lanes* keyed by ``(sender, kind, tag)``; a lane is
   strictly FIFO.
 * A **lane receive** (``tag`` given, which requires ``kind`` and
-  ``sender``) pops that lane's head and nothing else.
-* A **tagless receive** pops the next message in arrival order --
-  scoped to one sender when ``sender`` is given -- and treats ``kind``/
-  ``sender`` as assertions, raising
-  :class:`~repro.exceptions.ProtocolError` on a mismatch instead of
-  mis-delivering.
+  ``sender``, else :class:`~repro.exceptions.ChannelError`) takes that
+  lane's head and nothing else.
+* A **tagless receive** takes the oldest message -- the oldest from
+  ``sender`` when one is given.  If its kind is not the asserted
+  ``kind``, it raises :class:`~repro.exceptions.ProtocolError` after
+  taking it, naming the taken message and what is still queued.
+* With nothing to take, the simulator raises
+  :class:`~repro.exceptions.ProtocolError` at once (every send has
+  already landed), while a socket endpoint waits until the message
+  arrives, its receive deadline passes, or the sender is declared dead.
 * Payload bytes are produced by :mod:`repro.network.serialization` and
   sealed by the channel cipher when the link is secure, so wire bytes
   are transport-independent: the socket gate test pins a 3-process
   session's per-lane transcript byte-identical to the simulator's.
+
+Recovery stays per transport because the faults differ: the simulator
+NACKs and retransmits injected per-frame faults lane by lane, and the
+socket transport replays its per-connection outbox after a lost
+connection.
 """
 
 from __future__ import annotations
@@ -63,7 +74,7 @@ class Transport(abc.ABC):
         sender: str | None = None,
         tag: str | None = None,
     ) -> Message:
-        """Pop the next message for ``recipient`` (see module contract)."""
+        """Take the next message for ``recipient`` (see module contract)."""
 
     @abc.abstractmethod
     def pending(self, recipient: str) -> int:

@@ -70,10 +70,11 @@ class Party:
         sender: str | None = None,
         tag: str | None = None,
     ) -> Message:
-        """Receive the next queued message, asserting kind/sender.
+        """Receive the oldest queued message (from ``sender`` when
+        given), asserting its kind.
 
-        With ``tag``, pops the head of the ``(sender, kind, tag)``
-        delivery lane instead of the global FIFO head -- the form every
+        With ``tag``, takes the head of the ``(sender, kind, tag)``
+        delivery lane instead of the oldest message -- the form every
         scheduler-driven protocol step uses, so concurrent runs on other
         attributes or pairs can never be mis-delivered to this one.
         """

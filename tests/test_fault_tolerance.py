@@ -255,7 +255,6 @@ class TestReliableDelivery:
         for party in ("A", "B"):
             net.add_party(party)
         net.connect("A", "B", secure=False)
-        assert not net.reliable
         net.send("A", "B", "blob", 1)
         assert net.receive("B").payload == 1
         with pytest.raises(ProtocolError):
@@ -295,7 +294,7 @@ class TestMaskedFaultDeterminism:
         plan = FaultPlan.preset(preset, seed=101, parties=("A", "B", "C"))
         session = _session(fault_plan=plan)
         assert _fingerprint(session, session.run()) == clean_fingerprint
-        assert session.network.reliable
+        assert session.network.fault_plan is not None
 
     def test_same_plan_same_recovery_trace(self):
         stats = []
@@ -411,7 +410,6 @@ class TestChaosEnvHook:
         monkeypatch.setenv(CHAOS_PRESET_ENV, "lossy")
         session = _session()
         assert session.network.fault_plan is not None
-        assert session.network.reliable
         assert _fingerprint(session, session.run()) == clean_fingerprint
 
     def test_explicit_plan_wins_over_env(self, monkeypatch):
@@ -497,6 +495,6 @@ class TestCheckpointResume:
 
         monkeypatch.setenv(CHAOS_PRESET_ENV, "lossy")
         resumed = ClusteringService.restore(config, SCHEMA, blob)
-        assert resumed.session.network.reliable
+        assert resumed.session.network.fault_plan is not None
         resumed.ingest(_arrivals(), recluster=False)
         assert resumed.matrix() == clean.matrix()

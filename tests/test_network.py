@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,6 +13,11 @@ from repro.exceptions import ChannelError, ProtocolError
 from repro.network.channel import Channel, Eavesdropper
 from repro.network.serialization import deserialize, serialize, serialized_size
 from repro.network.simulator import Network
+
+
+def _length(count: int) -> bytes:
+    """A serialized length field (big-endian u32)."""
+    return struct.pack(">I", count)
 
 
 class TestSerialization:
@@ -71,6 +78,36 @@ class TestSerialization:
     def test_trailing_bytes_rejected(self):
         with pytest.raises(ChannelError):
             deserialize(serialize(1) + b"junk")
+
+    @pytest.mark.parametrize(
+        "data",
+        [
+            b"A" + serialize("object") + serialize((3,)) + _length(24) + bytes(24),
+            b"A" + serialize("nope") + serialize((3,)) + _length(24) + bytes(24),
+            b"A" + serialize(5) + serialize((3,)) + _length(24) + bytes(24),
+            b"A" + serialize("int64") + serialize((3,)) + _length(16) + bytes(16),
+            b"A" + serialize("uint8") + serialize("abc") + _length(3) + bytes(3),
+            b"S" + _length(2) + b"\xff\xfe",
+            b"D" + _length(1) + serialize([1]) + serialize(2),
+            b"A" + serialize("int64") + serialize((-1,)) + _length(24) + bytes(24),
+        ],
+        ids=[
+            "object-dtype",
+            "unknown-dtype",
+            "int-dtype",
+            "shape-bytes-mismatch",
+            "str-shape",
+            "invalid-utf8",
+            "list-dict-key",
+            "negative-dim",
+        ],
+    )
+    def test_hostile_input_raises_channel_error(self, data):
+        """Crafted bytes the encoder never emits are rejected the way the
+        encoder rejects their values: a ChannelError, never a stray
+        ValueError/TypeError/UnicodeDecodeError."""
+        with pytest.raises(ChannelError):
+            deserialize(data)
 
     def test_truncated_rejected(self):
         data = serialize([1, 2, 3])

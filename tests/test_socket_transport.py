@@ -29,6 +29,7 @@ from repro.exceptions import (
 )
 from repro.network.faults import FaultPlan, FaultRule
 from repro.network.retry import RetryPolicy
+from repro.network.serialization import serialize
 from repro.network.simulator import Network
 from repro.network.tcp import DEAD, UP, SocketTransport, parse_address
 from repro.parties.runner import SessionLinkSecurity
@@ -392,6 +393,61 @@ class TestSocketTransport:
             assert sent == 3
         finally:
             mesh["alpha"].close()
+
+    def test_parked_future_era_frames_are_bounded(self):
+        # Parked frames are never acked, so an honest peer has at most
+        # outbox_limit of them in flight; one more is a desynchronised
+        # (or hostile) stream, not something to buffer without end.
+        transport = SocketTransport(
+            "alpha",
+            {"alpha": "unix:/nonexistent/alpha.sock", "beta": "unix:/nonexistent/beta.sock"},
+            SessionLinkSecurity(11, "alpha"),
+            FINGERPRINT,
+            outbox_limit=2,
+        )
+        try:
+            peer = transport._peers["beta"]
+            future = transport.era + 1
+
+            def park(seq):
+                frame = hs.DataFrame(seq, future, "blob", "t", b"")
+                transport._call(transport._process_data(peer, frame, None))
+
+            park(0)
+            park(1)
+            assert len(peer.parked) == 2
+            with pytest.raises(ChannelError, match="future-era data frames parked"):
+                park(2)
+            assert len(peer.parked) == 2
+        finally:
+            transport.close()
+
+    def test_frames_of_a_pending_era_wait_for_begin_era(self):
+        # A restarted peer's hello voids the era at once; a frame of the
+        # new era that arrives before begin_era must be parked, not
+        # delivered into the inbox that begin_era clears (it would be
+        # acked and then lost, and the receiver would wait for it).
+        transport = SocketTransport(
+            "alpha",
+            {"alpha": "unix:/nonexistent/alpha.sock", "beta": "unix:/nonexistent/beta.sock"},
+            SessionLinkSecurity(11, "alpha"),
+            FINGERPRINT,
+        )
+        try:
+            peer = transport._peers["beta"]
+            peer.cipher = hs.LinkCipher(("alpha", "beta"))  # insecure link
+            transport._process_hello(
+                peer, hs.parse_hello(hs.hello_frame("beta", 2, FINGERPRINT, 3, 0))
+            )
+            frame = hs.DataFrame(0, transport.era, "blob", "t", serialize("new era"))
+            transport._call(transport._process_data(peer, frame, None))
+            assert transport.pending("alpha") == 0
+            assert len(peer.parked) == 1
+            transport.begin_era()
+            message = transport.receive("alpha", kind="blob", sender="beta", tag="t")
+            assert message.payload == "new era"
+        finally:
+            transport.close()
 
     def test_permanent_death_is_sticky(self):
         mesh = _mesh(
