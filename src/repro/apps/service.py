@@ -27,7 +27,6 @@ from typing import Mapping, Sequence
 from repro.core.config import SessionConfig
 from repro.core.delta import DeltaPlan, SiteGrowth, construct_attributes_delta
 from repro.core.results import ClusteringResult
-from repro.core.scheduler import ConstructionOutcome
 from repro.core.session import ClusteringSession
 from repro.crypto.keys import PairwiseSecret
 from repro.data.matrix import DataMatrix, Schema
@@ -308,11 +307,8 @@ class ClusteringService:
             tolerate_faults=session.config.suite.tolerate_faults,
             watchdog_timeout=session.config.watchdog_timeout,
         )
-        if isinstance(outcome, ConstructionOutcome):
-            self.delta_trace = list(outcome.trace)
-            session.degraded_report = outcome.report
-        else:
-            self.delta_trace = outcome
+        self.delta_trace = list(outcome.trace)
+        session.degraded_report = outcome.report
         session.third_party.end_delta()
         if recluster:
             return self.recluster()

@@ -108,7 +108,7 @@ class SessionBatch:
         workers on multicore hardware and on latency-bound workloads
         alike.  Inner sessions keep whatever ``construction_schedule``
         the batch config names; for many concurrent small sessions the
-        serial schedules avoid oversubscribing the pool.
+        sequential schedule avoids oversubscribing the pool.
         """
         batches = list(partition_batches)
         workers = self.config.max_workers if max_workers is None else max_workers

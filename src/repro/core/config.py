@@ -215,7 +215,7 @@ class SessionConfig:
         ``suite.construction_schedule == "parallel"`` and the default
         concurrency of :meth:`repro.apps.sessions.SessionBatch.run_many_parallel`.
         Results are bit-identical for every value; only wall-clock
-        changes.  Ignored by the serial schedules.
+        changes.  Ignored by the sequential schedule.
     watchdog_timeout:
         Optional stall watchdog for parallel construction, in seconds
         (default ``None``: wait forever, the historical behaviour).

@@ -53,22 +53,21 @@ def construct_attributes(
     max_workers: int = 4,
     tolerate_faults: bool = False,
     watchdog_timeout: float | None = None,
-) -> list[str] | ConstructionOutcome:
+) -> ConstructionOutcome:
     """Build the global matrices for many attributes under one schedule.
 
     ``max_workers`` sizes the worker pool of the ``"parallel"`` policy
-    (ignored by the serial schedules).  Returns the realized step
-    schedule (useful to assert pipelining in tests and to debug protocol
-    choreography).
+    (ignored by the sequential schedule).  Returns a
+    :class:`~repro.core.scheduler.ConstructionOutcome`: the realized
+    step schedule (useful to assert pipelining in tests and to debug
+    protocol choreography) and a degradation report.
 
     With ``tolerate_faults=True`` a crashed or unreachable party no
     longer aborts the run: only the affected attributes' steps fail (and
     their dependents are cancelled), the rest complete normally, and the
-    return value becomes a
-    :class:`~repro.core.scheduler.ConstructionOutcome` carrying an
-    explicit degradation report alongside the realized trace -- a
-    partial result set instead of an exception.  ``watchdog_timeout``
-    arms the parallel policy's stall watchdog.
+    report names exactly what was lost -- a partial result set instead
+    of an exception.  ``watchdog_timeout`` arms the parallel policy's
+    stall watchdog.
     """
     scheduler = ConstructionScheduler(
         holders,

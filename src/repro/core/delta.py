@@ -130,17 +130,16 @@ def construct_attributes_delta(
     max_workers: int = 4,
     tolerate_faults: bool = False,
     watchdog_timeout: float | None = None,
-) -> list[str] | ConstructionOutcome:
+) -> ConstructionOutcome:
     """Run the delta rounds for one ingest epoch under one schedule.
 
     The same step-graph executor as the full construction drives the
     delta: ``"sequential"`` replays registration order, and
     ``"parallel"`` executes local tails and sub-column protocol rounds on
     the scheduler's ``max_workers``-thread pool -- so ingest epochs
-    parallelize exactly like initial construction.  Returns the realized step schedule (or a
-    :class:`~repro.core.scheduler.ConstructionOutcome` when
-    ``tolerate_faults`` -- same contract as
-    :func:`repro.core.construction.construct_attributes`).
+    parallelize exactly like initial construction.  Returns the realized
+    step schedule and its degradation report, as
+    :func:`repro.core.construction.construct_attributes` does.
     """
     scheduler = ConstructionScheduler(
         holders,

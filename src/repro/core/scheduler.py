@@ -8,35 +8,36 @@ comparison runs per attribute uses its own pairwise-derived generators,
 and the third party's block writes touch disjoint regions -- so this
 module decomposes construction into *schedulable steps* (ship local
 matrix, initiate, respond, absorb a block, finalize) with explicit
-dependencies, and executes any interleaving the dependency graph and the
-FIFO network admit.
+dependencies.  One registration skeleton lays that graph out for a full
+construction and for an ingest epoch's delta rounds alike.
 
 Two ordering policies ship:
 
-* ``"sequential"`` replays the seed's exact global order -- on sealed
-  channels every wire byte, including each frame's position in the
-  per-channel nonce stream, is byte-identical to the seed transcript.
+* ``"sequential"`` runs the steps in registration order, which is the
+  seed's exact global order -- on sealed channels every wire byte,
+  including each frame's position in the per-channel nonce stream, is
+  byte-identical to the seed transcript.  The same in-order executor
+  runs one party's slice of the graph in a party process
+  (:class:`repro.parties.runner.PartyRunner`), where a receive blocks
+  until another process's step has sent.
 * ``"parallel"`` executes runnable steps on a real
   :class:`~concurrent.futures.ThreadPoolExecutor` (``max_workers``
   threads).  The numpy-heavy protocol steps release the GIL, so
   independent (attribute, pair) runs genuinely overlap on multicore
   hardware, and messages of independent runs overlap in flight when the
-  network models link latency.  Each receive step pops from its run's
-  delivery *lane* (``(sender, kind, tag)`` --
-  :meth:`repro.network.simulator.Network.receive`), so no interleaving
-  of workers can mis-deliver.
+  network models link latency.
 
 Correctness under reordering rests on two mechanisms.  *PRNG isolation*:
 every protocol run derives its generators from pairwise secrets under
 attribute-and-pair-scoped labels (:mod:`repro.core.labels`), so no
 schedule can change any party's protocol PRNG stream -- the protocol
 *messages* are byte-identical under every policy, and the property tests
-pin that.  *Queue gating*: a step that consumes a message runs only when
-that exact message (kind and sender) is at the head of its party's FIFO
-queue (:meth:`repro.network.simulator.Network.peek`), so interleaving
-can never mis-deliver; an impossible schedule degrades to a
-:class:`~repro.exceptions.ProtocolError` deadlock report, never to a
-wrong matrix.  What *does* legitimately differ between policies is the
+pin that.  *Lanes*: every receive step takes the head of its run's own
+delivery lane (``(sender, kind, tag)``, :mod:`repro.network.lanes`), and
+its ``deps`` include the step that sent that message, so no order of
+execution can mis-deliver; a message that was never sent raises the
+transport's :class:`~repro.exceptions.ProtocolError`, never a wrong
+matrix.  What *does* legitimately differ between policies is the
 assignment of channel nonces to frames (a sealed frame's position in its
 channel's nonce stream depends on the schedule), which changes no
 payload, no byte count and no statistic.
@@ -59,7 +60,8 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from functools import partial
+from typing import Callable, Iterator, Mapping, Sequence
 
 from repro.core import labels
 from repro.data.matrix import AttributeSpec
@@ -85,28 +87,25 @@ _FAULT_ERRORS = (PartyCrashError, LaneTimeoutError)
 # across all attributes and pairs are submitted before the next wave's.
 _SEND_LOCAL, _RECV_LOCAL, _INITIATE, _RESPOND, _RECV_BLOCK, _FINALIZE = range(6)
 
+#: A step body (its return value, if any, is ignored).
+_Call = Callable[[], object]
+
 
 @dataclass
 class Step:
     """One schedulable unit of the construction choreography.
 
-    ``receives`` gates execution on ``(party, kind, sender)`` being the
-    head of ``party``'s delivery queue; ``None`` means the step only
-    sends or computes.  ``order`` is the policy-assigned priority key --
-    the executor always runs the lowest-ordered runnable step, so the
-    key fully determines the schedule among admissible ones.
+    ``order`` is the parallel policy's submission key: among ready steps
+    the executor submits the lowest-ordered first.
     """
 
     name: str
-    run: Callable[[], None]
+    run: _Call
     deps: tuple[str, ...] = ()
-    receives: tuple[str, str, str] | None = None
     order: tuple = ()
-    #: The party whose process executes this step.  The in-process
-    #: scheduler ignores it (every step runs locally); the socket
-    #: runner (:mod:`repro.parties.runner`) slices the graph by owner
-    #: so each party process executes exactly its own steps, in
-    #: registration order.
+    #: The party whose process executes this step.  The in-process run
+    #: executes every step locally; a party process runs only its own
+    #: (:meth:`ConstructionScheduler.run` with ``owner``).
     owner: str = ""
 
     @property
@@ -152,7 +151,7 @@ class DegradedReport:
 
 @dataclass(frozen=True)
 class ConstructionOutcome:
-    """Realized schedule plus the degradation report of a tolerant run."""
+    """Realized schedule plus the degradation report of a run."""
 
     trace: tuple[str, ...]
     report: DegradedReport
@@ -160,6 +159,45 @@ class ConstructionOutcome:
     @property
     def degraded(self) -> bool:
         return self.report.degraded
+
+
+def _reverse_edges(steps: Sequence[Step]) -> dict[str, list[str]]:
+    """Dependents of every step, after checking the graph.
+
+    Every dependency must name a step registered *before* its dependent.
+    That is what lets the in-order executor run registration order as
+    is, and it rules out cycles, on which the parallel executor would
+    wait forever.
+    """
+    dependents: dict[str, list[str]] = {}
+    for step in steps:
+        unknown = [dep for dep in step.deps if dep not in dependents]
+        if unknown:
+            raise ProtocolError(
+                f"step {step.name!r} depends on unknown steps {unknown} "
+                f"(never registered, or registered after it)"
+            )
+        for dep in step.deps:
+            dependents[dep].append(step.name)
+        dependents[step.name] = []
+    return dependents
+
+
+def _downstream(name: str, dependents: Mapping[str, list[str]]) -> set[str]:
+    """Every step transitively depending on ``name``.
+
+    Cancellation is complete because every receive step's ``deps``
+    include the step that sends its message: a failed sender never
+    leaves a receiver waiting forever -- the receiver is cancelled.
+    """
+    doomed: set[str] = set()
+    stack = list(dependents[name])
+    while stack:
+        candidate = stack.pop()
+        if candidate not in doomed:
+            doomed.add(candidate)
+            stack.extend(dependents[candidate])
+    return doomed
 
 
 class ConstructionScheduler:
@@ -174,14 +212,13 @@ class ConstructionScheduler:
     policy:
         One of :data:`SCHEDULE_POLICIES`.
     tolerate_faults:
-        ``False`` (the default) re-raises the first step failure, as the
-        pre-fault-tolerance scheduler always did.  ``True`` degrades
-        instead: a step failing with :class:`PartyCrashError` or
-        :class:`LaneTimeoutError` marks only its attribute as failed,
-        transitively cancels the steps that depended on it, and lets
-        every other attribute finish; :meth:`run` then returns a
-        :class:`ConstructionOutcome` whose report names exactly what was
-        lost.  Any other exception still aborts the run.
+        ``False`` (the default) re-raises the first step failure.
+        ``True`` degrades instead: a step failing with
+        :class:`PartyCrashError` or :class:`LaneTimeoutError` marks only
+        its attribute as failed, transitively cancels the steps that
+        depended on it, and lets every other attribute finish; the
+        report :meth:`run` returns names exactly what was lost.  Any
+        other exception still aborts the run.
     watchdog_timeout:
         Optional stall watchdog for the ``"parallel"`` policy, in
         seconds.  When no step completes for this long while work is
@@ -227,441 +264,209 @@ class ConstructionScheduler:
         self._steps: list[Step] = []
         self._names: set[str] = set()
         self._attr_index = 0
-        self._seq = 0
 
     # -- graph construction ------------------------------------------------
 
-    def _add(
+    def _register(
         self,
-        name: str,
-        run: Callable[[], None],
-        wave: int,
-        lane: int,
-        deps: tuple[str, ...] = (),
-        receives: tuple[str, str, str] | None = None,
-        owner: str = "",
-    ) -> str:
-        """Register a step; ``lane`` spreads one wave across pairs/sites."""
-        if name in self._names:
-            raise ProtocolError(f"duplicate construction step {name!r}")
-        if self.policy == "sequential":
-            order: tuple = (self._seq,)
-        else:
-            # The parallel executor submits ready steps in this order,
-            # which front-loads sends so receives find their lanes
-            # populated.
-            order = (wave, lane, self._attr_index, self._seq)
-        self._seq += 1
-        self._names.add(name)
-        self._steps.append(
-            Step(
-                name=name,
-                run=run,
-                deps=deps,
-                receives=receives,
-                order=order,
-                owner=owner,
-            )
-        )
-        return name
+        attr: str,
+        suffix: str,
+        ship: str,
+        sites: Sequence[str],
+        send: Callable[[str], object],
+        receive: Callable[[str], object],
+        runs: Sequence[tuple[str, str, str, _Call, _Call, _Call]],
+        finalize: _Call,
+    ) -> None:
+        """Register one attribute's steps: the skeleton both graphs share.
 
-    def party_plan(self, owner: str) -> list[Step]:
-        """One party's slice of the graph, in registration order.
-
-        Registration order is the sequential policy's global order, so
-        each party executing its own slice serially -- with blocking
-        receives standing in for queue-head gating -- realizes exactly
-        the schedule the sequential in-process run would: every lane's
-        frames are produced and consumed in the same order, which is
-        what makes multi-process transcripts byte-identical.
+        Each of ``sites`` ships its local matrix (or its encrypted
+        column) with ``send(site)``, and the third party absorbs it with
+        ``receive(site)``.  ``runs`` are ``(pair, initiator, responder,
+        initiate, respond, absorb)``: one comparison protocol run and the
+        third party's absorb of its block.  The finalize waits for every
+        absorb.  Registration order is the sequential schedule, and
+        ``(wave, lane)`` the parallel one.
         """
-        return [step for step in self._steps if step.owner == owner]
+        tp = self._tp.name
+
+        def add(
+            phase: str, run: _Call, wave: int, lane: int, owner: str, *deps: str
+        ) -> str:
+            name = f"{attr}:{phase}{suffix}"
+            if name in self._names:
+                raise ProtocolError(f"duplicate construction step {name!r}")
+            self._names.add(name)
+            # The parallel executor submits ready steps in this order
+            # (``lane`` spreads one wave across sites and pairs), which
+            # front-loads sends so receives find their lanes populated.
+            order = (wave, lane, self._attr_index, len(self._steps))
+            self._steps.append(Step(name, run, deps, order, owner))
+            return name
+
+        absorbed: list[str] = []
+        for lane, site in enumerate(sites):
+            send_site, receive_site = partial(send, site), partial(receive, site)
+            sent = add(f"send_{ship}[{site}]", send_site, _SEND_LOCAL, lane, site)
+            absorbed.append(
+                add(f"recv_{ship}[{site}]", receive_site, _RECV_LOCAL, lane, tp, sent)
+            )
+        for lane, (pair, i, r, initiate, respond, absorb) in enumerate(runs):
+            initiated = add(f"initiate[{pair}]", initiate, _INITIATE, lane, i)
+            responded = add(f"respond[{pair}]", respond, _RESPOND, lane, r, initiated)
+            absorbed.append(
+                add(f"recv_block[{pair}]", absorb, _RECV_BLOCK, lane, tp, responded)
+            )
+        add("finalize", finalize, _FINALIZE, 0, tp, *absorbed)
+        self._attr_index += 1
+
+    def _pairs(self) -> Iterator[tuple[str, str]]:
+        """Every holder pair once, the lexicographically smaller first."""
+        for j_index, first in enumerate(self._sites):
+            for second in self._sites[j_index + 1 :]:
+                yield first, second
 
     def add_attribute(self, spec: AttributeSpec) -> None:
         """Append the Figure 11 steps for one attribute to the graph."""
         tp = self._tp
-        sites = self._sites
+        holders = self._holders
         attr = spec.name
         tag = labels.attribute_tag(spec)
-        finalize_deps: list[str] = []
-
         if spec.attr_type is AttributeType.CATEGORICAL:
-            for lane, site in enumerate(sites):
-                sent = self._add(
-                    f"{attr}:send_encrypted[{site}]",
-                    lambda site=site: self._holders[site].send_categorical(spec, tp.name),
-                    wave=_SEND_LOCAL,
-                    lane=lane,
-                    owner=site,
-                )
-                finalize_deps.append(
-                    self._add(
-                        f"{attr}:recv_encrypted[{site}]",
-                        lambda site=site, t=tag: tp.receive_encrypted_column(
-                            site, tag=t
-                        ),
-                        wave=_RECV_LOCAL,
-                        lane=lane,
-                        deps=(sent,),
-                        receives=(tp.name, "encrypted_column", site),
-                        owner=tp.name,
-                    )
-                )
-            self._add(
-                f"{attr}:finalize",
+            self._register(
+                attr,
+                "",
+                "encrypted",
+                self._sites,
+                lambda site: holders[site].send_categorical(spec, tp.name),
+                lambda site: tp.receive_encrypted_column(site, tag=tag),
+                [],
                 lambda: (tp.finalize_categorical(attr), tp.finalize_attribute(attr)),
-                wave=_FINALIZE,
-                lane=0,
-                deps=tuple(finalize_deps),
-                owner=tp.name,
             )
-            self._attr_index += 1
             return
-
         numeric = spec.attr_type is AttributeType.NUMERIC
-        for lane, site in enumerate(sites):
-            sent = self._add(
-                f"{attr}:send_local[{site}]",
-                lambda site=site: self._holders[site].send_local_matrix(tp.name, spec),
-                wave=_SEND_LOCAL,
-                lane=lane,
-                owner=site,
-            )
-            finalize_deps.append(
-                self._add(
-                    f"{attr}:recv_local[{site}]",
-                    lambda site=site, t=tag: tp.receive_local_matrix(site, tag=t),
-                    wave=_RECV_LOCAL,
-                    lane=lane,
-                    deps=(sent,),
-                    receives=(tp.name, "local_matrix", site),
-                    owner=tp.name,
+
+        def run(i: str, r: str) -> tuple[str, str, str, _Call, _Call, _Call]:
+            if numeric:
+                return (
+                    f"{i}->{r}", i, r,
+                    lambda: holders[i].numeric_initiate(
+                        spec, r, tp.name, responder_size=tp.index.size_of(r)
+                    ),
+                    lambda: holders[r].numeric_respond(spec, i, tp.name),
+                    lambda: tp.receive_numeric_block(r, tag=tag),
                 )
+            return (
+                f"{i}->{r}", i, r,
+                lambda: holders[i].alnum_initiate(spec, r, tp.name),
+                lambda: holders[r].alnum_respond(spec, i, tp.name),
+                lambda: tp.receive_alnum_block(r, tag=tag),
             )
 
-        masked_kind = (
-            ("masked_vector" if tp.suite.batch_numeric else "masked_matrix")
-            if numeric
-            else "masked_strings"
-        )
-        block_kind = "comparison_matrix" if numeric else "ccm_matrices"
-        pair_lane = 0
-        for j_index, initiator in enumerate(sites):
-            for responder in sites[j_index + 1 :]:
-                pair = f"{initiator}->{responder}"
-                if numeric:
-                    initiated = self._add(
-                        f"{attr}:initiate[{pair}]",
-                        lambda i=initiator, r=responder: self._holders[i].numeric_initiate(
-                            spec, r, tp.name, responder_size=tp.index.size_of(r)
-                        ),
-                        wave=_INITIATE,
-                        lane=pair_lane,
-                        owner=initiator,
-                    )
-                    responded = self._add(
-                        f"{attr}:respond[{pair}]",
-                        lambda i=initiator, r=responder: self._holders[r].numeric_respond(
-                            spec, i, tp.name
-                        ),
-                        wave=_RESPOND,
-                        lane=pair_lane,
-                        deps=(initiated,),
-                        receives=(responder, masked_kind, initiator),
-                        owner=responder,
-                    )
-                    absorb = lambda r=responder, t=tag: tp.receive_numeric_block(
-                        r, tag=t
-                    )
-                else:
-                    initiated = self._add(
-                        f"{attr}:initiate[{pair}]",
-                        lambda i=initiator, r=responder: self._holders[i].alnum_initiate(
-                            spec, r, tp.name
-                        ),
-                        wave=_INITIATE,
-                        lane=pair_lane,
-                        owner=initiator,
-                    )
-                    responded = self._add(
-                        f"{attr}:respond[{pair}]",
-                        lambda i=initiator, r=responder: self._holders[r].alnum_respond(
-                            spec, i, tp.name
-                        ),
-                        wave=_RESPOND,
-                        lane=pair_lane,
-                        deps=(initiated,),
-                        receives=(responder, masked_kind, initiator),
-                        owner=responder,
-                    )
-                    absorb = lambda r=responder, t=tag: tp.receive_alnum_block(r, tag=t)
-                finalize_deps.append(
-                    self._add(
-                        f"{attr}:recv_block[{pair}]",
-                        absorb,
-                        wave=_RECV_BLOCK,
-                        lane=pair_lane,
-                        deps=(responded,),
-                        receives=(tp.name, block_kind, responder),
-                        owner=tp.name,
-                    )
-                )
-                pair_lane += 1
-
-        self._add(
-            f"{attr}:finalize",
+        self._register(
+            attr,
+            "",
+            "local",
+            self._sites,
+            lambda site: holders[site].send_local_matrix(tp.name, spec),
+            lambda site: tp.receive_local_matrix(site, tag=tag),
+            [run(i, r) for i, r in self._pairs()],
             lambda: tp.finalize_attribute(attr),
-            wave=_FINALIZE,
-            lane=0,
-            deps=tuple(finalize_deps),
-            owner=tp.name,
         )
-        self._attr_index += 1
 
     def add_attribute_delta(self, spec: AttributeSpec, plan) -> None:
         """Append one attribute's delta rounds for an ingest epoch.
 
-        Same wave structure as :meth:`add_attribute`, restricted to the
-        pairs an arrival touches: grown sites ship local tails (or
-        arrival ciphertexts), and each ordered holder pair runs at most
-        two sub-column comparison rounds (``"grow"``: initiator arrivals
-        x all responder records; ``"base"``: initiator base x responder
+        Same skeleton as :meth:`add_attribute`, restricted to the pairs
+        an arrival touches: grown sites ship local tails (or arrival
+        ciphertexts), and each ordered holder pair runs at most two
+        sub-column comparison rounds (``"grow"``: initiator arrivals x
+        all responder records; ``"base"``: initiator base x responder
         arrivals) -- every new pair exactly once, no old pair ever
         re-proven.  The third party's finalize re-normalises the patched
         matrix, since arrivals may move the [0, 1] peak.
         """
         tp = self._tp
-        sites = self._sites
+        holders = self._holders
         attr = spec.name
         tag = labels.attribute_tag(spec)
         epoch = plan.epoch
-        grown = [site for site in sites if plan.site(site).added]
+        grown = [site for site in self._sites if plan.site(site).added]
         if not grown:
             raise ProtocolError(f"delta plan for {attr!r} has no arrivals")
-        finalize_deps: list[str] = []
         suffix = f"@{epoch}"
-
         if spec.attr_type is AttributeType.CATEGORICAL:
-            for lane, site in enumerate(grown):
-                sent = self._add(
-                    f"{attr}:send_encrypted_delta[{site}]{suffix}",
-                    lambda site=site: self._holders[site].send_categorical_delta(
-                        spec, tp.name, plan.site(site).old_size
-                    ),
-                    wave=_SEND_LOCAL,
-                    lane=lane,
-                    owner=site,
-                )
-                finalize_deps.append(
-                    self._add(
-                        f"{attr}:recv_encrypted_delta[{site}]{suffix}",
-                        lambda site=site, t=tag: tp.receive_encrypted_delta(
-                            site, tag=t
-                        ),
-                        wave=_RECV_LOCAL,
-                        lane=lane,
-                        deps=(sent,),
-                        receives=(tp.name, "encrypted_column_delta", site),
-                        owner=tp.name,
-                    )
-                )
-            self._add(
-                f"{attr}:finalize{suffix}",
-                lambda: (tp.finalize_categorical_delta(attr), tp.finalize_attribute(attr)),
-                wave=_FINALIZE,
-                lane=0,
-                deps=tuple(finalize_deps),
-                owner=tp.name,
-            )
-            self._attr_index += 1
-            return
-
-        numeric = spec.attr_type is AttributeType.NUMERIC
-        for lane, site in enumerate(grown):
-            sent = self._add(
-                f"{attr}:send_local_delta[{site}]{suffix}",
-                lambda site=site: self._holders[site].send_local_delta(
-                    tp.name, spec, plan.site(site).old_size
+            self._register(
+                attr,
+                suffix,
+                "encrypted_delta",
+                grown,
+                lambda site: holders[site].send_categorical_delta(
+                    spec, tp.name, plan.site(site).old_size
                 ),
-                wave=_SEND_LOCAL,
-                lane=lane,
-                owner=site,
+                lambda site: tp.receive_encrypted_delta(site, tag=tag),
+                [],
+                lambda: (tp.finalize_categorical_delta(attr), tp.finalize_attribute(attr)),
             )
-            finalize_deps.append(
-                self._add(
-                    f"{attr}:recv_local_delta[{site}]{suffix}",
-                    lambda site=site, t=tag: tp.receive_local_delta(site, tag=t),
-                    wave=_RECV_LOCAL,
-                    lane=lane,
-                    deps=(sent,),
-                    receives=(tp.name, "local_matrix_delta", site),
-                    owner=tp.name,
+            return
+        numeric = spec.attr_type is AttributeType.NUMERIC
+
+        def run(
+            part: str, i: str, r: str, i_rows: tuple[int, int], r_rows: tuple[int, int]
+        ) -> tuple[str, str, str, _Call, _Call, _Call]:
+            pair = f"{i}->{r}|{part}"
+            if numeric:
+                return (
+                    pair, i, r,
+                    lambda: holders[i].numeric_initiate_delta(
+                        spec, r, tp.name, part, epoch, i_rows,
+                        responder_size=r_rows[1] - r_rows[0],
+                    ),
+                    lambda: holders[r].numeric_respond_delta(
+                        spec, i, tp.name, part, epoch, r_rows
+                    ),
+                    lambda: tp.receive_numeric_delta_block(r, tag=tag),
                 )
+            return (
+                pair, i, r,
+                lambda: holders[i].alnum_initiate_delta(
+                    spec, r, tp.name, part, epoch, i_rows
+                ),
+                lambda: holders[r].alnum_respond_delta(
+                    spec, i, tp.name, part, epoch, r_rows
+                ),
+                lambda: tp.receive_alnum_delta_block(r, tag=tag),
             )
 
-        masked_kind = (
-            ("masked_vector" if tp.suite.batch_numeric else "masked_matrix")
-            if numeric
-            else "masked_strings"
-        )
-        block_kind = "comparison_matrix" if numeric else "ccm_matrices"
-        pair_lane = 0
-        for j_index, first in enumerate(sites):
-            for second in sites[j_index + 1 :]:
-                grow_first = plan.site(first)
-                grow_second = plan.site(second)
-                # The grown site always *responds* with its arrival rows:
-                # per-row costs (responder matrix rows, serializer runs,
-                # TP row unmasks) then scale with the batch, not with the
-                # peer's whole partition.
-                runs = []
-                if grow_first.added:
-                    # Second's full column x first's arrivals.
-                    runs.append(
-                        (
-                            "grow",
-                            second,
-                            first,
-                            (0, grow_second.new_size),
-                            (grow_first.old_size, grow_first.new_size),
-                        )
-                    )
-                if grow_second.added:
-                    # First's base x second's arrivals (first's own
-                    # arrivals already met second's in the "grow" run).
-                    runs.append(
-                        (
-                            "base",
-                            first,
-                            second,
-                            (0, grow_first.old_size),
-                            (grow_second.old_size, grow_second.new_size),
-                        )
-                    )
-                for part, initiator, responder, initiator_range, responder_range in runs:
-                    pair = f"{initiator}->{responder}|{part}"
-                    if numeric:
-                        initiated = self._add(
-                            f"{attr}:initiate[{pair}]{suffix}",
-                            lambda i=initiator, r=responder, p=part, ir=initiator_range, rr=responder_range: self._holders[
-                                i
-                            ].numeric_initiate_delta(
-                                spec,
-                                r,
-                                tp.name,
-                                p,
-                                epoch,
-                                ir,
-                                responder_size=rr[1] - rr[0],
-                            ),
-                            wave=_INITIATE,
-                            lane=pair_lane,
-                            owner=initiator,
-                        )
-                        responded = self._add(
-                            f"{attr}:respond[{pair}]{suffix}",
-                            lambda i=initiator, r=responder, p=part, rr=responder_range: self._holders[
-                                r
-                            ].numeric_respond_delta(spec, i, tp.name, p, epoch, rr),
-                            wave=_RESPOND,
-                            lane=pair_lane,
-                            deps=(initiated,),
-                            receives=(responder, masked_kind, initiator),
-                            owner=responder,
-                        )
-                        absorb = lambda r=responder, t=tag: tp.receive_numeric_delta_block(
-                            r, tag=t
-                        )
-                    else:
-                        initiated = self._add(
-                            f"{attr}:initiate[{pair}]{suffix}",
-                            lambda i=initiator, r=responder, p=part, ir=initiator_range: self._holders[
-                                i
-                            ].alnum_initiate_delta(spec, r, tp.name, p, epoch, ir),
-                            wave=_INITIATE,
-                            lane=pair_lane,
-                            owner=initiator,
-                        )
-                        responded = self._add(
-                            f"{attr}:respond[{pair}]{suffix}",
-                            lambda i=initiator, r=responder, p=part, rr=responder_range: self._holders[
-                                r
-                            ].alnum_respond_delta(spec, i, tp.name, p, epoch, rr),
-                            wave=_RESPOND,
-                            lane=pair_lane,
-                            deps=(initiated,),
-                            receives=(responder, masked_kind, initiator),
-                            owner=responder,
-                        )
-                        absorb = lambda r=responder, t=tag: tp.receive_alnum_delta_block(
-                            r, tag=t
-                        )
-                    finalize_deps.append(
-                        self._add(
-                            f"{attr}:recv_block[{pair}]{suffix}",
-                            absorb,
-                            wave=_RECV_BLOCK,
-                            lane=pair_lane,
-                            deps=(responded,),
-                            receives=(tp.name, block_kind, responder),
-                            owner=tp.name,
-                        )
-                    )
-                    pair_lane += 1
-
-        self._add(
-            f"{attr}:finalize{suffix}",
+        # The grown site always *responds* with its arrival rows: per-row
+        # costs (responder matrix rows, serializer runs, TP row unmasks)
+        # then scale with the batch, not with the peer's whole partition.
+        runs = []
+        for first, second in self._pairs():
+            one, two = plan.site(first), plan.site(second)
+            arrivals_one = (one.old_size, one.new_size)
+            arrivals_two = (two.old_size, two.new_size)
+            if one.added:
+                # Second's full column x first's arrivals.
+                runs.append(run("grow", second, first, (0, two.new_size), arrivals_one))
+            if two.added:
+                # First's base x second's arrivals (first's own arrivals
+                # already met second's in the "grow" run).
+                runs.append(run("base", first, second, (0, one.old_size), arrivals_two))
+        self._register(
+            attr,
+            suffix,
+            "local_delta",
+            grown,
+            lambda site: holders[site].send_local_delta(
+                tp.name, spec, plan.site(site).old_size
+            ),
+            lambda site: tp.receive_local_delta(site, tag=tag),
+            runs,
             lambda: tp.finalize_attribute(attr),
-            wave=_FINALIZE,
-            lane=0,
-            deps=tuple(finalize_deps),
-            owner=tp.name,
         )
-        self._attr_index += 1
 
     # -- execution ---------------------------------------------------------
-
-    def _runnable(self, step: Step, done: set[str]) -> bool:
-        if any(dep not in done for dep in step.deps):
-            return False
-        if step.receives is not None:
-            party, kind, sender = step.receives
-            if self.tolerate_faults:
-                plan = self._tp.network.fault_plan
-                if plan is not None and plan.permanently_down(party):
-                    # The receive will raise PartyCrashError immediately;
-                    # run it now so the failure is recorded instead of
-                    # gating forever on a dead party's queue head.
-                    return True
-            head = self._tp.network.peek(party)
-            if head is None or head.kind != kind or head.sender != sender:
-                return False
-        return True
-
-    def _dependents(self) -> dict[str, list[str]]:
-        """Reverse dependency edges over the whole graph."""
-        dependents: dict[str, list[str]] = {step.name: [] for step in self._steps}
-        for step in self._steps:
-            for dep in step.deps:
-                dependents[dep].append(step.name)
-        return dependents
-
-    def _doomed(self, failed: str, dependents: Mapping[str, list[str]]) -> set[str]:
-        """Every step transitively depending on a failed one.
-
-        Cancellation is complete because every receive step's ``deps``
-        include the step that sends its message: a failed sender never
-        leaves a receiver waiting forever -- the receiver is cancelled.
-        """
-        doomed: set[str] = set()
-        stack = list(dependents[failed])
-        while stack:
-            name = stack.pop()
-            if name in doomed:
-                continue
-            doomed.add(name)
-            stack.extend(dependents[name])
-        return doomed
 
     def _report(
         self, failed: Mapping[str, str], cancelled: tuple[str, ...]
@@ -679,84 +484,76 @@ class ConstructionScheduler:
             completed_attributes=tuple(g for g in groups if g not in lost_groups),
         )
 
-    def run(self) -> list[str] | ConstructionOutcome:
-        """Execute every step; returns the realized schedule (step names).
+    def run(
+        self,
+        owner: str | None = None,
+        after_step: Callable[[str], None] | None = None,
+    ) -> ConstructionOutcome:
+        """Execute the graph; returns the realized schedule and its report.
 
-        The ``"sequential"`` policy always runs the lowest-ordered
-        runnable step, so its execution is deterministic.  The
-        ``"parallel"`` policy executes steps on worker threads as their
-        dependencies complete; its realized trace is completion order
-        (informational -- every *result* is bit-identical regardless).
-        The serial scan is O(steps^2) in the worst case, which is
-        irrelevant next to the protocol work a step performs (sessions
-        schedule at most a few thousand steps).
+        The ``"sequential"`` policy runs the steps in registration order,
+        and so does a run that ``owner`` restricts to one party's steps
+        (the slice a party process executes), under either policy.  An
+        in-order run calls ``after_step`` with each step's name once the
+        step completed.  The ``"parallel"`` policy runs the whole graph
+        on worker threads as dependencies complete; its trace is
+        completion order (every *result* is bit-identical).
 
-        With ``tolerate_faults=True`` the return type changes to
-        :class:`ConstructionOutcome`: the realized trace plus a
-        :class:`DegradedReport` of the steps and attributes lost to
-        tolerated faults (empty when the run was clean or every fault
-        was masked by the network's retry layer).
+        Raises :class:`ProtocolError` before any step runs when a step
+        depends on one that is unknown or registered after it.  The
+        report is empty unless ``tolerate_faults`` turned faults into
+        failed and cancelled steps (without it the fault is re-raised).
         """
-        if self.policy == "parallel":
+        if self.policy == "parallel" and owner is None:
             trace, failed, cancelled = _ParallelRun(
-                list(self._steps),
+                self._steps,
                 self.max_workers,
                 tolerate_faults=self.tolerate_faults,
                 watchdog_timeout=self.watchdog_timeout,
             ).run()
         else:
-            trace, failed, cancelled = self._run_serial()
-        if not self.tolerate_faults:
-            return trace
+            trace, failed, cancelled = self._run_in_order(owner, after_step)
         return ConstructionOutcome(
             trace=tuple(trace), report=self._report(failed, cancelled)
         )
 
-    def _run_serial(self) -> tuple[list[str], dict[str, str], tuple[str, ...]]:
-        pending = sorted(self._steps, key=lambda step: step.order)
-        done: set[str] = set()
+    def _run_in_order(
+        self, owner: str | None, after_step: Callable[[str], None] | None
+    ) -> tuple[list[str], dict[str, str], tuple[str, ...]]:
+        dependents = _reverse_edges(self._steps)
         trace: list[str] = []
         failed: dict[str, str] = {}
         cancelled: list[str] = []
-        dependents = self._dependents() if self.tolerate_faults else {}
-        while pending:
-            for index, step in enumerate(pending):
-                if self._runnable(step, done):
-                    del pending[index]
-                    if self.tolerate_faults:
-                        try:
-                            step.run()
-                        except _FAULT_ERRORS as exc:
-                            failed[step.name] = f"{type(exc).__name__}: {exc}"
-                            doomed = self._doomed(step.name, dependents)
-                            cancelled.extend(
-                                s.name for s in pending if s.name in doomed
-                            )
-                            pending = [s for s in pending if s.name not in doomed]
-                            break
-                    else:
-                        step.run()
-                    done.add(step.name)
-                    trace.append(step.name)
-                    break
-            else:
-                blocked = [step.name for step in pending]
-                raise ProtocolError(
-                    f"construction schedule deadlocked; blocked steps: {blocked}"
-                )
+        doomed: set[str] = set()
+        for step in self._steps:
+            if owner is not None and step.owner != owner:
+                continue
+            if step.name in doomed:
+                cancelled.append(step.name)
+                continue
+            try:
+                step.run()
+            except _FAULT_ERRORS as exc:
+                if not self.tolerate_faults:
+                    raise
+                failed[step.name] = f"{type(exc).__name__}: {exc}"
+                doomed |= _downstream(step.name, dependents)
+                continue
+            trace.append(step.name)
+            if after_step is not None:
+                after_step(step.name)
         return trace, failed, tuple(cancelled)
 
 
 class _ParallelRun:
     """Mutable state of one parallel schedule execution.
 
-    Dependency-driven execution on a thread pool.  Receive steps need no
-    queue-head gating here: each pops from its run's exclusive delivery
-    lane, and its ``deps`` always include the step that sent the lane's
-    message, so by the time a step is submitted its input is either in
-    the lane or owed to it by a concurrently-arriving send of the same
-    lane (lanes are FIFO and hold one run's stream, so any available
-    message is the right one).
+    Dependency-driven execution on a thread pool.  Each receive step pops
+    from its run's exclusive delivery lane, and its ``deps`` always
+    include the step that sent the lane's message, so by the time a step
+    is submitted its input is either in the lane or owed to it by a
+    concurrently-arriving send of the same lane (lanes are FIFO and hold
+    one run's stream, so any available message is the right one).
 
     The worker threads and the submission loop share their state on this
     object, declared ``guarded-by`` the run's single condition variable,
@@ -782,28 +579,17 @@ class _ParallelRun:
         self.max_workers = max_workers
         self.tolerate_faults = tolerate_faults
         self.watchdog_timeout = watchdog_timeout
-        self._step_table = {step.name: step for step in steps}
-        dependents: dict[str, list[str]] = {name: [] for name in self._step_table}
-        unmet: dict[str, int] = {}
-        for step in steps:
-            unknown = [dep for dep in step.deps if dep not in self._step_table]
-            if unknown:
-                raise ProtocolError(
-                    f"step {step.name!r} depends on unknown steps {unknown}"
-                )
-            unmet[step.name] = len(step.deps)
-            for dep in step.deps:
-                dependents[dep].append(step.name)
         #: Reverse dependency edges; immutable once built.
-        self._dependents = dependents
+        self._dependents = _reverse_edges(steps)
+        self._step_table = {step.name: step for step in steps}
         self._wake = threading.Condition()
         #: Per step: count of unfinished dependencies.
         # guarded-by: self._wake
-        self._unmet = unmet
+        self._unmet = {step.name: len(step.deps) for step in steps}
         #: Steps whose dependencies are all met, in submission order.
         # guarded-by: self._wake
         self._ready: list[Step] = sorted(
-            (step for step in steps if not unmet[step.name]),
+            (step for step in steps if not step.deps),
             key=lambda step: step.order,
         )
         #: Names of completed steps, in completion order.
@@ -824,15 +610,8 @@ class _ParallelRun:
 
     def _cancel_dependents_locked(self, name: str) -> None:
         """Transitively cancel everything depending on a failed step."""
-        doomed: set[str] = set()
-        stack = list(self._dependents[name])
-        while stack:
-            candidate = stack.pop()
-            if candidate in doomed:
-                continue
-            doomed.add(candidate)
-            stack.extend(self._dependents[candidate])
-        for step in sorted(doomed & set(self._unmet), key=lambda n: self._step_table[n].order):
+        doomed = _downstream(name, self._dependents)
+        for step in sorted(doomed, key=lambda n: self._step_table[n].order):
             if step not in self._cancelled:
                 self._cancelled.append(step)
         self._ready = [s for s in self._ready if s.name not in doomed]
@@ -915,14 +694,4 @@ class _ParallelRun:
             pool.shutdown(wait=not stalled, cancel_futures=stalled)
         if self._failures:
             raise self._failures[0]
-        if self._settled_locked() != len(self._step_table):
-            blocked = sorted(
-                set(self._step_table)
-                - set(self._trace)
-                - set(self._failed)
-                - set(self._cancelled)
-            )
-            raise ProtocolError(
-                f"construction schedule deadlocked; blocked steps: {blocked}"
-            )
         return self._trace, dict(self._failed), tuple(self._cancelled)

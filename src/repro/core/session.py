@@ -20,7 +20,7 @@ from repro.core import labels
 from repro.core.config import SessionConfig
 from repro.core.construction import construct_attributes
 from repro.core.results import ClusteringResult
-from repro.core.scheduler import ConstructionOutcome, DegradedReport
+from repro.core.scheduler import DegradedReport
 from repro.crypto.keys import PairwiseSecret, agree_pairwise
 from repro.crypto.prng import ReseedablePRNG, make_prng
 from repro.data.matrix import DataMatrix, Schema
@@ -133,7 +133,8 @@ class ClusteringSession:
         self.construction_trace: list[str] = []
         #: Degradation report of the last construction
         #: (:class:`~repro.core.scheduler.DegradedReport`; ``None`` until
-        #: a ``tolerate_faults`` run populates it).
+        #: :meth:`execute_protocol` ran; it lists losses only under
+        #: ``suite.tolerate_faults``, since a default run raises instead).
         self.degraded_report: DegradedReport | None = None
         #: Sites the session could not exchange weights/results with
         #: (tolerant runs only).
@@ -241,11 +242,8 @@ class ClusteringSession:
             tolerate_faults=suite.tolerate_faults,
             watchdog_timeout=self.config.watchdog_timeout,
         )
-        if isinstance(outcome, ConstructionOutcome):
-            self.construction_trace = list(outcome.trace)
-            self.degraded_report = outcome.report
-        else:
-            self.construction_trace = outcome
+        self.construction_trace = list(outcome.trace)
+        self.degraded_report = outcome.report
 
         for site in sites:
             if suite.tolerate_faults:

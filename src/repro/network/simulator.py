@@ -376,10 +376,8 @@ class Network(Transport):
                     f"frame seq {frame.seq} still {frame.status!r} "
                     f"after {frame.retransmits} retransmit(s)"
                 )
-                # Abandon the dead frame: discard it from its lane so
-                # later traffic -- and the serial scheduler's queue-head
-                # gating -- can move past it instead of deadlocking on a
-                # placeholder that will never be recovered.
+                # Abandon the dead frame and its lane: nobody will ever
+                # receive them, so pending()/drain() must not count them.
                 self._abandon_frame(recipient, lane, frame)
                 lane_sender, lane_kind, lane_tag = lane
                 raise LaneTimeoutError(
@@ -417,23 +415,6 @@ class Network(Transport):
         self._require_party(recipient)
         with self._locks[recipient]:
             return len(self._inboxes[recipient])
-
-    def peek(self, recipient: str) -> Message | None:
-        """The message a tagless :meth:`receive` would take next.
-
-        The sequential construction schedule uses this to gate a receive
-        step on its message actually being the oldest queued -- steps
-        never mis-deliver no matter how they are ordered.  Placeholders
-        of dropped/delayed frames *are* that message (they will be
-        recovered and delivered), so gating under a fault plan still
-        sees the schedule the fault-free run would.
-        """
-        self._require_party(recipient)
-        with self._locks[recipient]:
-            inbox = self._inboxes[recipient]
-            lane = inbox.select(None, None, None)
-            frame = inbox.head(lane) if lane is not None else None
-            return frame.message if frame is not None else None
 
     def drain(self, recipient: str | None = None) -> int:
         """Discard every queued frame (one party's or everyone's).

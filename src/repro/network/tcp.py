@@ -130,6 +130,10 @@ class _Peer:
         self.cipher: LinkCipher | None = None
         self.shared: bytes | None = None
         self.handshaken = False
+        #: Whether a handshake with this peer ever completed.  Sticky, so
+        #: :meth:`SocketTransport.connect_all` cannot miss a peer that
+        #: handshook, ran and died before the caller looked.
+        self.ever_handshaken = False
         #: Next outbound data-frame sequence number (current era).
         self.next_seq = 0
         #: Count of inbound data frames delivered (current era).
@@ -259,20 +263,23 @@ class SocketTransport(Transport):
 
     def connect_all(self, timeout: float = 30.0) -> None:
         """Listen, dial every higher-named peer, and block until the
-        handshake (hello + DH + cipher) completed with *every* peer."""
+        handshake (hello + DH + cipher) completed with *every* peer.
+
+        A peer that completed it and then died does not fail the call:
+        sends and receives toward it raise ``PartyCrashError``, which the
+        degraded scheduler handles.
+        """
         self._call(self._start_async())
         gate = RetryPolicy(max_attempts=1, deadline=timeout)
         started = gate.start_clock()
         with self._cond:
             while True:
                 missing = sorted(
-                    name for name, p in self._peers.items() if not p.handshaken
+                    name for name, p in self._peers.items() if not p.ever_handshaken
                 )
                 if not missing:
                     return
-                dead = sorted(
-                    name for name, p in self._peers.items() if p.status == DEAD
-                )
+                dead = [name for name in missing if self._peers[name].status == DEAD]
                 if dead:
                     raise ChannelError(
                         f"cannot establish the session mesh: {dead} declared dead"
@@ -535,6 +542,7 @@ class SocketTransport(Transport):
         )
         with self._cond:
             peer.handshaken = True
+            peer.ever_handshaken = True
             if peer.status != DEAD:
                 self._set_status_locked(peer, UP)
             self._cond.notify_all()
@@ -623,6 +631,8 @@ class SocketTransport(Transport):
             peer.acked = max(peer.acked, ack.seq)
             while peer.outbox and peer.outbox[0][0] < peer.acked:
                 peer.outbox.popleft()
+            if not peer.outbox:
+                self._cond.notify_all()
 
     # -- liveness ----------------------------------------------------------
 
@@ -796,6 +806,25 @@ class SocketTransport(Transport):
                         attempts=1,
                         reason="no frame arrived within the receive deadline",
                     )
+                self._cond.wait(0.05)
+
+    def wait_acknowledged(self) -> None:
+        """Block until every live peer acknowledged every frame sent to it.
+
+        Delivery is guaranteed for acknowledged frames only: the outbox
+        replays the unacked tail after a reconnect, but if this party
+        dies first, a peer may lose what it had not read yet.  Bounded
+        by the receive deadline; returns early, without raising, when
+        the deadline passes or an era reset is pending.
+        """
+        policy = self._receive_policy
+        started = policy.start_clock()
+        with self._cond:
+            while (
+                any(p.outbox and p.status != DEAD for p in self._peers.values())
+                and self._pending_reset is None
+                and not policy.expired(started)
+            ):
                 self._cond.wait(0.05)
 
     def pending(self, recipient: str) -> int:

@@ -32,8 +32,8 @@ class Party:
     def network(self) -> Transport:
         """The session transport this party is bound to.
 
-        The construction scheduler peeks delivery queues through this to
-        gate receive steps; parties themselves only send/receive.
+        Protocol code reaches it only through :meth:`send` and
+        :meth:`receive`; no scheduler inspects its queues.
         """
         return self._network
 

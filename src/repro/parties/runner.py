@@ -6,8 +6,8 @@ one serial program.  :class:`PartyRunner` is the same choreography cut
 along party lines: each OS process runs *one* party (a data holder or
 the third party) against a :class:`~repro.network.tcp.SocketTransport`,
 executes exactly its own slice of the construction step graph
-(:meth:`repro.core.scheduler.ConstructionScheduler.party_plan`), and
-arrives at the same bytes -- the socket gate test pins every per-lane
+(:meth:`repro.core.scheduler.ConstructionScheduler.run` with ``owner``),
+and arrives at the same bytes -- the socket gate test pins every per-lane
 sealed frame byte-identical to the in-process simulator run of the same
 session spec.
 
@@ -18,8 +18,8 @@ Determinism rests on three properties:
   exact labels :class:`~repro.core.session.ClusteringSession` uses, so
   the socket handshake agrees on the very secrets the simulator derives
   out-of-band.
-* **Serial per-party plans.** Registration order of the step graph is
-  the sequential policy's global order; each party executing its own
+* **In-order per-party slices.** Registration order of the step graph
+  is the sequential policy's global order; each party executing its own
   steps in that order, with blocking receives, produces and consumes
   every lane's frames in the simulator's order.
 * **Nonce lockstep.** Each link endpoint advances its nonce-stream copy
@@ -45,7 +45,7 @@ from typing import Any, Mapping
 
 from repro.core import labels
 from repro.core.config import ProtocolSuiteConfig, SessionConfig
-from repro.core.scheduler import ConstructionScheduler, Step
+from repro.core.scheduler import ConstructionScheduler, DegradedReport
 from repro.core.session import session_entropy
 from repro.crypto.keys import PairwiseSecret
 from repro.crypto.prng import ReseedablePRNG
@@ -56,6 +56,7 @@ from repro.exceptions import (
     LaneTimeoutError,
     PartyCrashError,
     ProtocolError,
+    SchemaError,
     SessionResetError,
 )
 from repro.network.handshake import LinkCipher
@@ -194,11 +195,45 @@ def encode_spec(
     )
 
 
+#: Fields of a session spec blob and of each of its schema entries, with
+#: the type each must have.
+_SPEC_FIELDS: dict[str, Any] = {
+    "master_seed": int, "num_clusters": int, "linkage": str,
+    "weights": (list, type(None)), "suite": dict, "tp_name": str, "schema": list,
+    "partitions": dict, "addresses": dict, "transport": dict,
+}
+_ATTRIBUTE_FIELDS: dict[str, Any] = {
+    "name": str, "type": str, "precision": int, "alphabet": (str, type(None)),
+}
+
+
+def _check_fields(value: Any, expected: Mapping[str, Any], what: str) -> None:
+    """Raise :class:`ConfigurationError` unless ``value`` is a dict that
+    holds every field of ``expected``, each of its declared type."""
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{what} is not a mapping")
+    for name, kind in expected.items():
+        if name not in value or not isinstance(value[name], kind):
+            raise ConfigurationError(f"{what} field {name!r} is missing or mistyped")
+
+
 def decode_spec(spec_bytes: bytes) -> dict[str, Any]:
-    """Parse and validate a session spec blob."""
+    """Parse and validate a session spec blob.
+
+    A blob of another format or shape raises :class:`ConfigurationError`;
+    bytes that do not decode at all raise the codec's ``ChannelError``.
+    """
     spec = deserialize(spec_bytes)
     if not isinstance(spec, dict) or spec.get("format") != SPEC_FORMAT:
         raise ConfigurationError("unsupported session spec blob")
+    _check_fields(spec, _SPEC_FIELDS, "session spec")
+    for attr in spec["schema"]:
+        _check_fields(attr, _ATTRIBUTE_FIELDS, "session spec attribute")
+    for site, rows in spec["partitions"].items():
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise ConfigurationError(f"spec partition of {site!r} is not a list of rows")
+    if not all(isinstance(address, str) for address in spec["addresses"].values()):
+        raise ConfigurationError("spec addresses must be strings")
     if spec["tp_name"] in spec["partitions"]:
         raise ConfigurationError("third party name collides with a data holder")
     parties = sorted(spec["partitions"]) + [spec["tp_name"]]
@@ -210,24 +245,33 @@ def decode_spec(spec_bytes: bytes) -> dict[str, Any]:
 
 def _schema_from_spec(spec: Mapping[str, Any]) -> Schema:
     specs = []
-    for attr in spec["schema"]:
-        attr_type = AttributeType(attr["type"])
-        kwargs: dict[str, Any] = {"precision": attr["precision"]}
-        if attr_type is AttributeType.ALPHANUMERIC and attr["alphabet"] is not None:
-            from repro.data.alphabet import Alphabet
+    try:
+        for attr in spec["schema"]:
+            attr_type = AttributeType(attr["type"])
+            kwargs: dict[str, Any] = {"precision": attr["precision"]}
+            if attr_type is AttributeType.ALPHANUMERIC and attr["alphabet"] is not None:
+                from repro.data.alphabet import Alphabet
 
-            kwargs["alphabet"] = Alphabet(attr["alphabet"])
-        specs.append(AttributeSpec(attr["name"], attr_type, **kwargs))
-    return Schema(specs)
+                kwargs["alphabet"] = Alphabet(attr["alphabet"])
+            specs.append(AttributeSpec(attr["name"], attr_type, **kwargs))
+        return Schema(specs)
+    except (ValueError, SchemaError) as exc:
+        # An unknown attribute type, or a field value out of range.
+        raise ConfigurationError(f"invalid schema in the session spec: {exc}") from None
 
 
 def _config_from_spec(spec: Mapping[str, Any]) -> SessionConfig:
+    try:
+        suite = ProtocolSuiteConfig(**spec["suite"])
+    except TypeError as exc:
+        # An unknown suite key, or a value of the wrong type.
+        raise ConfigurationError(f"invalid suite in the session spec: {exc}") from None
     return SessionConfig(
-        num_clusters=int(spec["num_clusters"]),
-        linkage=LinkageMethod(spec["linkage"]),
+        num_clusters=spec["num_clusters"],
+        linkage=spec["linkage"],
         weights=spec["weights"],
-        master_seed=int(spec["master_seed"]),
-        suite=ProtocolSuiteConfig(**spec["suite"]),
+        master_seed=spec["master_seed"],
+        suite=suite,
     )
 
 
@@ -253,8 +297,9 @@ class PartyRunner:
         Where to persist the post-setup checkpoint for a later restart.
     exit_after_step:
         Test hook: SIGKILL this process right after the named own
-        construction step completes (first era only -- the supervisor
-        strips the flag on restart).
+        construction step completes and every peer acknowledged the
+        frames sent so far (first era only -- the supervisor strips the
+        flag on restart).
     """
 
     def __init__(
@@ -280,7 +325,7 @@ class PartyRunner:
         if self._config.suite.construction_schedule != "sequential":
             raise ConfigurationError(
                 "socket sessions support the sequential construction "
-                "schedule only (per-party serial plans)"
+                "schedule only (each party runs its slice in registration order)"
             )
         self._tp_name: str = self._spec["tp_name"]
         self._sizes = {
@@ -291,7 +336,7 @@ class PartyRunner:
         if party != self._tp_name and party not in self._sizes:
             raise ConfigurationError(f"party {party!r} is not named by the spec")
 
-        tuning = dict(self._spec.get("transport") or {})
+        tuning = dict(self._spec["transport"])
         self._connect_timeout = float(tuning.pop("connect_timeout", 30.0))
         reconnect = None
         if "reconnect_attempts" in tuning:
@@ -328,15 +373,12 @@ class PartyRunner:
         self._checkpoint: dict[str, Any] | None = None
         self._holder: DataHolder | None = None
         self._tp: ThirdParty | None = None
-        self._plan: list[Step] = []
-        self._broken_steps: dict[str, str] = {}
-        self._cancelled_steps: list[str] = []
         self._unreachable: list[str] = []
 
     # -- party / plan construction ----------------------------------------
 
-    def _build_parties(self) -> None:
-        """(Re)create the local party objects and this party's plan.
+    def _build_parties(self) -> ConstructionScheduler:
+        """(Re)create the local party objects; returns the step graph.
 
         Called once per era: the objects carry per-era protocol state
         (TP matrices, holder entropy position), so a reset rebuilds them
@@ -371,13 +413,13 @@ class PartyRunner:
         assert local is not None
         for peer, secret in self._secrets.items():
             local.set_secret(peer, secret)
-        scheduler = ConstructionScheduler(holders, self._tp, policy="sequential")
+        scheduler = ConstructionScheduler(
+            holders, self._tp, tolerate_faults=suite.tolerate_faults
+        )
         for spec in self._schema:
             scheduler.add_attribute(spec)
-        self._plan = scheduler.party_plan(self._party)
-        self._broken_steps = {}
-        self._cancelled_steps = []
         self._unreachable = []
+        return scheduler
 
     def _derive_secrets(self) -> None:
         """Turn the transport's DH shared secrets into the key schedule."""
@@ -485,45 +527,19 @@ class PartyRunner:
 
     def _maybe_exit_after(self, step_name: str) -> None:
         if self._exit_after is not None and step_name == self._exit_after:
-            # Deterministic crash injection: die exactly here, without
+            # The transport guarantees acknowledged frames only: a frame
+            # the peer has not read yet may be lost with the connection.
+            # So wait for the acks, then die exactly here, without
             # unwinding (SIGKILL cannot be caught), like a power loss.
+            self.transport.wait_acknowledged()
             os.kill(os.getpid(), signal.SIGKILL)
-
-    def _construction_phase(self) -> None:
-        tolerate = self._config.suite.tolerate_faults
-        for step in self._plan:
-            if any(dep in self._broken_steps for dep in step.deps) or any(
-                dep in self._cancelled_steps for dep in step.deps
-            ):
-                # Transitive local cancellation; deps owned by remote
-                # parties are assumed fine (a missing frame surfaces as
-                # PartyCrashError/LaneTimeoutError on the receive).
-                self._cancelled_steps.append(step.name)
-                continue
-            try:
-                step.run()
-            except _FAULT_ERRORS as error:
-                if not tolerate:
-                    raise
-                self._broken_steps[step.name] = f"{type(error).__name__}: {error}"
-                continue
-            self._maybe_exit_after(step.name)
-
-    def _failed_attributes(self) -> list[str]:
-        failed = {name.split(":", 1)[0] for name in self._broken_steps}
-        failed.update(name.split(":", 1)[0] for name in self._cancelled_steps)
-        return [spec.name for spec in self._schema if spec.name in failed]
-
-    def _completed_attributes(self) -> list[str]:
-        failed = set(self._failed_attributes())
-        return [spec.name for spec in self._schema if spec.name not in failed]
 
     def _weights(self) -> list[float]:
         if self._config.weights is not None:
             return list(self._config.weights)
         return [1.0] * len(self._schema)
 
-    def _result_phase(self) -> dict[str, Any] | None:
+    def _result_phase(self, report: DegradedReport) -> dict[str, Any] | None:
         """Exchange weights, cluster, publish; returns the result payload."""
         tolerate = self._config.suite.tolerate_faults
         if self._holder is not None:
@@ -550,15 +566,14 @@ class PartyRunner:
             if site not in self._unreachable
             and self.transport.liveness(site) != DEAD
         ]
-        failed = self._failed_attributes()
-        degraded = bool(failed or self._unreachable)
+        degraded = report.degraded or bool(self._unreachable)
         linkage = self._config.linkage
         assert isinstance(linkage, LinkageMethod)
         result = tp.cluster_and_publish(
             reachable,
             self._config.num_clusters,
             linkage,
-            attributes=self._completed_attributes() if degraded else None,
+            attributes=list(report.completed_attributes) if degraded else None,
         )
         return dict(result.to_payload())
 
@@ -576,25 +591,30 @@ class PartyRunner:
         if self._restore_blob is not None:
             state = self._load_checkpoint(self._restore_blob)
             self._checkpoint = dict(state)
-            self._build_parties()
+            scheduler = self._build_parties()
             self._restore_from(state)
             self.transport.advance_cipher_positions(state["cipher_positions"])
         else:
-            self._build_parties()
+            scheduler = self._build_parties()
             self._group_key_phase()
             self._take_checkpoint()
 
         result: dict[str, Any] | None = None
         while True:
             try:
-                self._construction_phase()
-                result = self._result_phase()
+                # This party's slice of the step graph, in registration
+                # order; a frame a remote step never sends surfaces as a
+                # fault on the receive, which a tolerant suite degrades on.
+                report = scheduler.run(
+                    owner=self._party, after_step=self._maybe_exit_after
+                ).report
+                result = self._result_phase(report)
                 break
             except SessionResetError:
                 state = self._checkpoint
                 if state is None:
                     raise
-                self._build_parties()
+                scheduler = self._build_parties()
                 self._restore_from(state)
                 self.transport.begin_era(state["cipher_positions"])
         self.transport.drain()
@@ -603,8 +623,8 @@ class PartyRunner:
             "era": self.transport.era,
             "result": result,
             "transcript": [list(entry) for entry in self.transport.transcript()],
-            "failed_attributes": self._failed_attributes(),
-            "completed_attributes": self._completed_attributes(),
+            "failed_attributes": list(report.failed_attributes),
+            "completed_attributes": list(report.completed_attributes),
             "unreachable": sorted(set(self._unreachable)),
             "liveness": [list(entry) for entry in self.transport.liveness_log()],
         }

@@ -222,16 +222,3 @@ class TestParallelRunState:
         ]
         with pytest.raises(ValueError, match="step exploded"):
             _ParallelRun(steps, max_workers=2).run()
-
-    def test_cycle_reports_deadlock(self):
-        steps = [
-            Step(name="a", run=lambda: None, deps=("b",), order=(0,)),
-            Step(name="b", run=lambda: None, deps=("a",), order=(1,)),
-        ]
-        with pytest.raises(ProtocolError, match="deadlocked"):
-            _ParallelRun(steps, max_workers=2).run()
-
-    def test_unknown_dependency_rejected(self):
-        steps = [Step(name="a", run=lambda: None, deps=("ghost",), order=(0,))]
-        with pytest.raises(ProtocolError, match="ghost"):
-            _ParallelRun(steps, max_workers=1)

@@ -3,8 +3,8 @@
 Pins the scheduler's two core guarantees -- (1) the ``sequential``
 policy replays the seed's exact choreography, and (2) the ``parallel``
 policy reorders steps while changing no protocol message, no byte count
-and no result -- plus the queue-gating that makes arbitrary admissible
-interleavings safe, and the :class:`repro.apps.sessions.SessionBatch`
+and no result -- plus the graph check and lane receives that make every
+admissible order safe, and the :class:`repro.apps.sessions.SessionBatch`
 setup amortisation.
 """
 
@@ -187,19 +187,23 @@ class TestParallelEquivalence:
 
 class TestQueueGating:
     def test_deadlock_reported_not_misdelivered(self):
-        """A step graph whose receive can never be satisfied fails loudly."""
+        """A receive step whose message was never sent fails loudly with
+        the transport's error, and takes nothing from the queue."""
         session, _ = _tapped_session("sequential")
+        network = session.network
+        network.send("A", "TP", "probe", 1, tag="num")
         scheduler = ConstructionScheduler(session.holders, session.third_party)
         scheduler._steps.append(
             Step(
                 name="ghost",
-                run=lambda: None,
-                receives=("TP", "never_sent", "A"),
+                run=lambda: session.third_party.receive("never_sent", "A", tag="num"),
                 order=(0,),
             )
         )
-        with pytest.raises(ProtocolError, match="deadlock"):
+        with pytest.raises(ProtocolError, match="no pending 'never_sent' from 'A'"):
             scheduler.run()
+        assert network.pending("TP") == 1
+        assert network.receive("TP", "probe", "A", tag="num").payload == 1
 
     def test_duplicate_step_rejected(self):
         session, _ = _tapped_session("sequential")
@@ -208,15 +212,34 @@ class TestQueueGating:
         with pytest.raises(ProtocolError, match="duplicate"):
             scheduler.add_attribute(SCHEMA[0])
 
-    def test_network_peek(self):
-        session, _ = _tapped_session("sequential")
-        network = session.network
-        assert network.peek("TP") is None
-        network.send("A", "TP", "probe", 1)
-        head = network.peek("TP")
-        assert head is not None and head.kind == "probe"
-        assert network.pending("TP") == 1  # peek does not pop
-        network.receive("TP")
+
+@pytest.mark.parametrize("policy", SCHEDULE_POLICIES)
+class TestGraphCheck:
+    """One check under both policies, before any step runs: every
+    dependency names a step registered before its dependent."""
+
+    def _run(self, policy, steps):
+        session, _ = _tapped_session(policy)
+        scheduler = ConstructionScheduler(
+            session.holders, session.third_party, policy=policy
+        )
+        scheduler._steps.extend(steps)
+        return scheduler.run()
+
+    def test_cycle_rejected(self, policy):
+        ran = []
+        steps = [
+            Step(name="a", run=lambda: ran.append("a"), deps=("b",), order=(0,)),
+            Step(name="b", run=lambda: ran.append("b"), deps=("a",), order=(1,)),
+        ]
+        with pytest.raises(ProtocolError, match="depends on unknown steps"):
+            self._run(policy, steps)
+        assert ran == []
+
+    def test_unknown_dependency_rejected(self, policy):
+        steps = [Step(name="a", run=lambda: None, deps=("ghost",), order=(0,))]
+        with pytest.raises(ProtocolError, match="ghost"):
+            self._run(policy, steps)
 
 
 class TestSessionBatch:

@@ -175,6 +175,48 @@ class TestSessionSpec:
                 )
             )
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda spec: {"format": spec["format"]},
+            lambda spec: {k: v for k, v in spec.items() if k != "addresses"},
+            lambda spec: {**spec, "partitions": 5},
+            lambda spec: {**spec, "tp_name": ["TP"]},
+            lambda spec: {**spec, "suite": {**spec["suite"], "warp_speed": True}},
+            lambda spec: {**spec, "num_clusters": "two"},
+            lambda spec: {
+                **spec,
+                "schema": [{**spec["schema"][0], "type": "weird"}, *spec["schema"][1:]],
+            },
+            lambda spec: {
+                **spec,
+                "schema": [{**spec["schema"][0], "precision": 99}, *spec["schema"][1:]],
+            },
+            lambda spec: {**spec, "suite": {**spec["suite"], "mask_bits": "x"}},
+            lambda spec: {**spec, "addresses": {**spec["addresses"], "alpha": 5}},
+        ],
+        ids=[
+            "format-only",
+            "no-addresses",
+            "partitions-int",
+            "tp-name-list",
+            "unknown-suite-key",
+            "num-clusters-str",
+            "unknown-attribute-type",
+            "precision-out-of-range",
+            "mask-bits-str",
+            "address-int",
+        ],
+    )
+    def test_malformed_spec_raises_configuration_error(self, tmp_path, mutate):
+        """Every malformed spec is rejected with ConfigurationError, before
+        the runner opens its transport."""
+        spec = deserialize(
+            encode_spec(_config(), SCHEMA, ROWS, unix_addresses(PARTIES, str(tmp_path)))
+        )
+        with pytest.raises(ConfigurationError):
+            PartyRunner(serialize(mutate(spec)), "alpha")
+
     def test_unknown_transport_tuning_rejected(self, tmp_path):
         spec = encode_spec(
             _config(),

@@ -378,6 +378,30 @@ class TestSocketTransport:
         finally:
             _close_all(mesh)
 
+    def test_wait_acknowledged_returns_once_frames_are_delivered(self):
+        mesh = _mesh()
+        try:
+            alpha, beta = mesh["alpha"], mesh["beta"]
+            for i in range(3):
+                alpha.send("alpha", "beta", "blob", i, tag="t")
+            alpha.wait_acknowledged()
+            assert not alpha._peers["beta"].outbox
+            # The peer acks a frame only after queueing it, read or not.
+            assert beta.pending("beta") == 3
+        finally:
+            _close_all(mesh)
+
+    def test_wait_acknowledged_is_bounded_by_the_receive_deadline(self):
+        mesh = _mesh(receive_deadline=0.3, dead_after=60.0)
+        try:
+            alpha = mesh["alpha"]
+            mesh["beta"].close()
+            alpha.send("alpha", "beta", "blob", 1, tag="t")
+            alpha.wait_acknowledged()
+            assert alpha._peers["beta"].outbox, "nobody acked; the wait gave up"
+        finally:
+            mesh["alpha"].close()
+
     def test_outbox_overflow_is_bounded(self):
         mesh = _mesh(outbox_limit=3, dead_after=60.0)
         try:
