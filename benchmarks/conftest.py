@@ -11,6 +11,7 @@ the reference numbers.
 from __future__ import annotations
 
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -52,9 +53,35 @@ def report(title: str, rows: list[tuple], headers: tuple) -> None:
         print("  ".join(str(c).ljust(w) for c, w in zip(row, widths)))
 
 
+def best_of_alternating(*workloads, repeats: int = 3, reset=None) -> tuple[float, ...]:
+    """Best times of workloads whose runs alternate.
+
+    Every side then samples the same stretches of host load, so a burst
+    on a shared machine cannot land on one side of a ratio only.
+    ``reset``, when given, runs untimed after each round of runs, to undo
+    what they changed before the next round.
+    """
+    best = [float("inf")] * len(workloads)
+    for _ in range(repeats):
+        for slot, fn in enumerate(workloads):
+            start = time.perf_counter()
+            fn()
+            best[slot] = min(best[slot], time.perf_counter() - start)
+        if reset is not None:
+            reset()
+    return tuple(best)
+
+
 @pytest.fixture
 def table():
     return report
+
+
+@pytest.fixture
+def alternating():
+    """The :func:`best_of_alternating` timer, as a fixture: the speedup
+    gates time every side of their ratios with it."""
+    return best_of_alternating
 
 
 @pytest.fixture

@@ -19,9 +19,11 @@ arithmetic alone predicts ~5.8x at 10%); numbers persist to
 ``BENCH_incremental.json`` with the gate that was enforced, which
 ``benchmarks/check_gates.py`` re-checks on every run.
 
-Timing repeats restore the pre-batch state through :meth:`retire` (the
-inverse mutation -- itself asserted exact), so each repeat times the
-same transition without paying a fresh initial construction.
+Ingest and rebuild runs alternate, so both sides of the ratio sample
+the same stretches of host load.  Between repeats the pre-batch state is
+restored through :meth:`retire` (the inverse mutation -- itself asserted
+exact), so each repeat times the same transition without paying a fresh
+initial construction.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ def _workload():
     return SessionConfig(num_clusters=3, master_seed=11), partitions, arrivals
 
 
-def test_append_batch_speedup(table, bench_store):
+def test_append_batch_speedup(table, bench_store, alternating):
     """>= 5x for a 10% append batch vs full reconstruction, bit-exact."""
     config, partitions, arrivals = _workload()
     batch = SessionBatch(config, sorted(partitions))
@@ -65,16 +67,21 @@ def test_append_batch_speedup(table, bench_store):
     base_sizes = {site: m.num_rows for site, m in partitions.items()}
     added = sum(m.num_rows for m in arrivals.values())
     base_matrix = service.matrix()
-
-    ingest_time = float("inf")
+    union = {
+        site: DataMatrix(matrix.schema, [*matrix.rows, *arrivals[site].rows])
+        for site, matrix in partitions.items()
+    }
+    rebuild = batch.session(union)
     retire_time = float("inf")
-    repeats = 4
-    for repeat in range(repeats):
-        start = time.perf_counter()
-        service.ingest(arrivals, recluster=False)
-        ingest_time = min(ingest_time, time.perf_counter() - start)
-        if repeat == repeats - 1:
-            break  # keep the grown state for the equivalence assert
+
+    def reset():
+        # Check the pair just timed, then restore the pre-batch state
+        # through retire (the inverse mutation) and stage a fresh rebuild.
+        nonlocal rebuild, retire_time
+        assert service.partitions() == union
+        assert service.matrix() == rebuild.final_matrix(), (
+            "incremental state diverged from the full rebuild"
+        )
         removals = {
             site: list(range(base_sizes[site], service.index.size_of(site)))
             for site in arrivals
@@ -83,19 +90,16 @@ def test_append_batch_speedup(table, bench_store):
         service.retire(removals, recluster=False)
         retire_time = min(retire_time, time.perf_counter() - start)
         assert service.matrix() == base_matrix, "retire did not invert ingest"
+        rebuild = batch.session(union)
 
-    rebuild_time = float("inf")
-    rebuild = None
-    for _ in range(3):
-        rebuild = batch.session(service.partitions())
-        start = time.perf_counter()
-        rebuild.execute_protocol()
-        rebuild_time = min(rebuild_time, time.perf_counter() - start)
-    assert service.matrix() == rebuild.final_matrix(), (
-        "incremental state diverged from the full rebuild"
+    ingest_time, rebuild_time = alternating(
+        lambda: service.ingest(arrivals, recluster=False),
+        lambda: rebuild.execute_protocol(),
+        repeats=4,
+        reset=reset,
     )
 
-    total = service.total_objects()
+    total = sum(m.num_rows for m in union.values())
     old_pairs_touched = added * (added - 1) // 2 + added * (total - added)
     all_pairs = total * (total - 1) // 2
     speedup = rebuild_time / ingest_time

@@ -29,8 +29,8 @@ the parallel number *free* rather than a correctness trade.
 
 from __future__ import annotations
 
+import functools
 import os
-import time
 
 from repro.apps.sessions import SessionBatch
 from repro.core.config import ProtocolSuiteConfig, SessionConfig
@@ -88,17 +88,7 @@ def _construction_config(policy: str, workers: int) -> SessionConfig:
     )
 
 
-def _time_construction(batch: SessionBatch, partitions, repeats: int = 2) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        session = batch.session(partitions)
-        start = time.perf_counter()
-        session.execute_protocol()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def test_parallel_construction_speedup(table, bench_store):
+def test_parallel_construction_speedup(table, bench_store, alternating):
     """>= 2x wall-clock for parallel(w=4) construction at k=4, bit-exact."""
     partitions = _construction_partitions()
     variants = {
@@ -128,9 +118,27 @@ def test_parallel_construction_speedup(table, bench_store):
             reference = state
         assert state == reference, f"{policy}(w={workers}) diverged"
 
-    for policy, workers in variants:
-        batch = SessionBatch(_construction_config(policy, workers), list(SITES))
-        variants[(policy, workers)] = _time_construction(batch, partitions)
+    batches = {
+        variant: SessionBatch(_construction_config(*variant), list(SITES))
+        for variant in variants
+    }
+    sessions = {}
+
+    def stage():
+        # A session constructs once: stage a fresh one per variant, untimed.
+        for variant, batch in batches.items():
+            sessions[variant] = batch.session(partitions)
+
+    def construct(variant):
+        sessions[variant].execute_protocol()
+
+    stage()
+    timings = alternating(
+        *(functools.partial(construct, variant) for variant in variants),
+        repeats=5,
+        reset=stage,
+    )
+    variants = dict(zip(variants, timings))
 
     sequential = variants[("sequential", 1)]
     speedup_w4 = sequential / variants[("parallel", 4)]
@@ -181,7 +189,7 @@ def test_parallel_construction_speedup(table, bench_store):
     )
 
 
-def test_run_many_parallel_throughput(table, bench_store):
+def test_run_many_parallel_throughput(table, bench_store, alternating):
     """Concurrent whole-session serving over one consortium's pool."""
     schema = [AttributeSpec("v", AttributeType.NUMERIC, precision=2)]
     config = SessionConfig(
@@ -205,15 +213,11 @@ def test_run_many_parallel_throughput(table, bench_store):
         r.to_payload() for r in sequential_results
     ], "parallel serving diverged from run_many"
 
-    sequential_time = float("inf")
-    parallel_time = float("inf")
-    for _ in range(2):
-        start = time.perf_counter()
-        batch.run_many(datasets)
-        sequential_time = min(sequential_time, time.perf_counter() - start)
-        start = time.perf_counter()
-        batch.run_many_parallel(datasets)
-        parallel_time = min(parallel_time, time.perf_counter() - start)
+    sequential_time, parallel_time = alternating(
+        lambda: batch.run_many(datasets),
+        lambda: batch.run_many_parallel(datasets),
+        repeats=2,
+    )
 
     speedup = sequential_time / parallel_time
     throughput = len(datasets) / parallel_time

@@ -41,8 +41,9 @@ from repro.types import AttributeType
 
 #: Isolation-efficiency floor: a process cluster may cost at most
 #: 1/bar times the threaded mesh (0.01 -> at most 100x; measured
-#: ~0.03x, i.e. ~30x, on an idle machine).  The ratio is spawn-bound
-#: when healthy; the bar only trips when the supervisor path stalls in
+#: 0.09-0.14x, i.e. 7-12x, over three runs on a shared 2-vCPU host).
+#: The ratio is spawn-bound when healthy (interpreter start plus the
+#: numpy import); the bar only trips when the supervisor path stalls in
 #: reconnect backoff or handshake timeouts, which costs whole retry
 #: deadlines rather than interpreter startups.  CI relaxes it further
 #: -- shared runners fork slowly.

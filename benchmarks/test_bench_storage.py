@@ -27,8 +27,9 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 STORAGE_BENCH_N = int(os.environ.get("STORAGE_BENCH_N", "2000"))
-#: Process floor: interpreter + numpy/scipy imports + probe bookkeeping.
-#: Measured ~90 MB locally; shared CI runners pad their allocators.
+#: Process floor: interpreter + numpy import + probe bookkeeping.
+#: Importing the probe peaks at ~40 MB locally; shared CI runners pad
+#: their allocators.
 RSS_FLOOR_MB = float(os.environ.get("STORAGE_RSS_FLOOR_MB", "700"))
 #: Shard-block LRU budget the memmap probes run under.
 CACHE_BYTES = 256 << 20

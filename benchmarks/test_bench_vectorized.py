@@ -45,21 +45,6 @@ def _best_of(fn, repeats: int = 3) -> float:
     return best
 
 
-def _best_of_alternating(first, second, repeats: int = 3) -> tuple[float, float]:
-    """Best times of two workloads whose runs alternate.
-
-    Both sides then sample the same stretches of host load, so a burst
-    on a shared machine cannot land on one side of the ratio only.
-    """
-    best = [float("inf"), float("inf")]
-    for _ in range(repeats):
-        for slot, fn in enumerate((first, second)):
-            start = time.perf_counter()
-            fn()
-            best[slot] = min(best[slot], time.perf_counter() - start)
-    return best[0], best[1]
-
-
 def _numeric_inputs():
     rng = np.random.default_rng(7)
     values_j = [int(v) for v in rng.integers(-10_000, 10_000, size=N)]
@@ -83,9 +68,9 @@ def _dna_strings(seed: int):
     ]
 
 
-def test_numeric_construction_speedup(table):
+def test_numeric_construction_speedup(table, alternating):
     values_j, values_k = _numeric_inputs()
-    scalar, vectorized = _best_of_alternating(
+    scalar, vectorized = alternating(
         lambda: _numeric_construction(ref, values_j, values_k),
         lambda: _numeric_construction(num_vec, values_j, values_k),
     )

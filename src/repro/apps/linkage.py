@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from repro.data.partition import GlobalIndex, ObjectRef
 from repro.distance.dissimilarity import DissimilarityMatrix
@@ -102,6 +101,9 @@ def private_record_linkage(
         # on them are dropped afterwards.
         penalty = max(1.0, float(block.max())) * 10.0 + threshold
         costs = np.where(block <= threshold, block, penalty)
+        # Deferred: every party process imports repro.apps and must not load scipy.
+        from scipy.optimize import linear_sum_assignment
+
         row_idx, col_idx = linear_sum_assignment(costs)
         for i, j in zip(row_idx, col_idx):
             if block[i, j] <= threshold:

@@ -23,6 +23,7 @@ backend.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Callable, Sequence
 
 import numpy as np
@@ -666,9 +667,15 @@ class DissimilarityMatrix:
         ``new_positions`` are the rows the inserted objects occupy in the
         grown matrix; existing objects keep their relative order in the
         remaining rows.  Every pair of surviving objects keeps its exact
-        value via one condensed remap, streamed block by block; every pair
-        touching an inserted object starts at 0, to be filled by the delta
-        construction (:mod:`repro.core.delta`).
+        value, copied block by block; every pair touching an inserted
+        object starts at 0, to be filled by the delta construction
+        (:mod:`repro.core.delta`).
+
+        An old row's columns split into runs that the insertions shift by
+        one amount each, so a row moves as a few contiguous slices, and
+        slices that continue each other merge into one write.  An ingest
+        epoch appends one batch per site, so that is a handful of slices
+        per row.
         """
         new_positions = list(new_positions)
         if len(set(new_positions)) != len(new_positions):
@@ -683,17 +690,36 @@ class DissimilarityMatrix:
             return self.copy()
         inserted = np.zeros(grown, dtype=bool)
         inserted[np.asarray(new_positions, dtype=np.int64)] = True
-        new_of_old = np.flatnonzero(~inserted)
+        new_of_old = np.flatnonzero(~inserted).tolist()
+        # Old columns where a new shift run starts (after an insertion).
+        breaks = [
+            j for j in range(1, self._n) if new_of_old[j] != new_of_old[j - 1] + 1
+        ]
         out_store = self._store.spawn(condensed_size(grown))
         for start, stop in self._store.block_ranges():
-            i, j = condensed_span_indices(start, stop)
-            # The map old->new is strictly increasing, so i > j survives
-            # remapping and the condensed slot is direct arithmetic (no
-            # per-pair max/min) -- this runs on every ingest epoch.
-            upper = new_of_old[i]
-            targets = upper * (upper - 1) // 2
-            targets += new_of_old[j]
-            out_store.scatter(targets, self._store.read(start, stop))
+            values = self._store.read(start, stop)
+            # The copy being extended: source offset in ``values``,
+            # destination position, length.
+            src = dst = length = 0
+            for i in range(_row_of(start), _row_of(stop - 1) + 1):
+                row = i * (i - 1) // 2
+                lo, hi = max(start - row, 0), min(stop - row, i)
+                upper = new_of_old[i]
+                new_row = upper * (upper - 1) // 2
+                k = bisect_right(breaks, lo)
+                while lo < hi:
+                    end = min(hi, breaks[k]) if k < len(breaks) else hi
+                    at, to = row + lo - start, new_row + new_of_old[lo]
+                    if at == src + length and to == dst + length:
+                        length += end - lo
+                    else:
+                        if length:
+                            out_store.write(dst, values[src : src + length])
+                        src, dst, length = at, to, end - lo
+                    lo = end
+                    k += 1
+            if length:
+                out_store.write(dst, values[src : src + length])
         return DissimilarityMatrix._adopt(grown, out_store)
 
     def remove_objects(self, positions: Sequence[int]) -> "DissimilarityMatrix":

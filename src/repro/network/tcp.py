@@ -209,10 +209,10 @@ class SocketTransport(Transport):
         self._fingerprint = fingerprint
         # The default redial budget (~30 s) and ``dead_after`` must both
         # comfortably exceed a party-process restart -- interpreter
-        # start plus numpy/scipy imports, several seconds on a loaded
-        # machine.  Death declared while the supervisor is mid-respawn
-        # is sticky and unrecoverable, so these margins are deliberately
-        # generous; crash-detection tests tighten them explicitly.
+        # start plus the numpy import, seconds on a loaded machine.
+        # Death declared while the supervisor is mid-respawn is sticky
+        # and unrecoverable, so these margins are deliberately generous;
+        # crash-detection tests tighten them explicitly.
         self._reconnect = reconnect if reconnect is not None else RetryPolicy(
             max_attempts=60, backoff_base=0.05, backoff_cap=0.5
         )

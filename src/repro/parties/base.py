@@ -28,15 +28,6 @@ class Party:
         self._network = network
         self._secrets: dict[str, PairwiseSecret] = {}
 
-    @property
-    def network(self) -> Transport:
-        """The session transport this party is bound to.
-
-        Protocol code reaches it only through :meth:`send` and
-        :meth:`receive`; no scheduler inspects its queues.
-        """
-        return self._network
-
     # -- secrets -----------------------------------------------------------
 
     def set_secret(self, peer: str, secret: PairwiseSecret) -> None:

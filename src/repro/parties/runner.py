@@ -39,6 +39,7 @@ phase, and the published results are bit-identical.
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import signal
 from typing import Any, Mapping
@@ -217,6 +218,27 @@ def _check_fields(value: Any, expected: Mapping[str, Any], what: str) -> None:
             raise ConfigurationError(f"{what} field {name!r} is missing or mistyped")
 
 
+def _check_weights(weights: list | None, width: int) -> None:
+    """Raise :class:`ConfigurationError` for a weight vector that
+    :func:`repro.distance.merge.merge_weighted` would reject after the
+    session is up: not ``width`` real numbers, any negative or
+    non-finite value, or all zero."""
+    if weights is None:
+        return
+    if len(weights) != width or not all(
+        isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights
+    ):
+        raise ConfigurationError(f"spec weights must be a list of {width} real numbers")
+    try:
+        usable = all(math.isfinite(w) and w >= 0 for w in weights) and any(weights)
+    except OverflowError:  # an int beyond the float range merges as inf
+        usable = False
+    if not usable:
+        raise ConfigurationError(
+            "spec weights must be finite, non-negative and not all zero"
+        )
+
+
 def decode_spec(spec_bytes: bytes) -> dict[str, Any]:
     """Parse and validate a session spec blob.
 
@@ -229,9 +251,15 @@ def decode_spec(spec_bytes: bytes) -> dict[str, Any]:
     _check_fields(spec, _SPEC_FIELDS, "session spec")
     for attr in spec["schema"]:
         _check_fields(attr, _ATTRIBUTE_FIELDS, "session spec attribute")
+    width = len(spec["schema"])
+    _check_weights(spec["weights"], width)
     for site, rows in spec["partitions"].items():
-        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
-            raise ConfigurationError(f"spec partition of {site!r} is not a list of rows")
+        if not isinstance(rows, list) or not all(
+            isinstance(row, list) and len(row) == width for row in rows
+        ):
+            raise ConfigurationError(
+                f"spec partition of {site!r} is not a list of {width}-value rows"
+            )
     if not all(isinstance(address, str) for address in spec["addresses"].values()):
         raise ConfigurationError("spec addresses must be strings")
     if spec["tp_name"] in spec["partitions"]:

@@ -222,8 +222,8 @@ class ThirdParty(Party):
     def begin_delta(self, plan, new_index: GlobalIndex) -> None:
         """Open one ingest epoch: grow every raw matrix to the new frame.
 
-        Surviving pairs keep their exact entries through one fancy-indexed
-        condensed remap (:meth:`DissimilarityMatrix.insert_objects`); the
+        Surviving pairs keep their exact entries, moved as contiguous row
+        slices (:meth:`DissimilarityMatrix.insert_objects`); the
         vacated rows are then filled by the epoch's local tails and
         sub-column protocol blocks.  Normalised matrices go stale here and
         are refreshed per attribute by the scheduler's finalize steps.

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.apps.linkage import private_record_linkage
@@ -88,6 +93,26 @@ class TestRecordLinkage:
         optimal = private_record_linkage(matrix, index, "A", "B", 0.2, "optimal")
         assert len(greedy) == 1  # greedy takes A0-B0, stranding A1 (0.50 > t)
         assert len(optimal) == 2  # optimal: A0-B1 + A1-B0, both under t
+
+
+def test_party_import_loads_no_scipy():
+    """A party process imports ``repro.apps.cluster`` and never links
+    records, so its import graph stays free of scipy: only the optimal
+    linkage strategy loads ``scipy.optimize``, when it runs."""
+    probe = (
+        "import sys, repro.apps.cluster; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", probe],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestOutliers:

@@ -194,6 +194,15 @@ class TestSessionSpec:
             },
             lambda spec: {**spec, "suite": {**spec["suite"], "mask_bits": "x"}},
             lambda spec: {**spec, "addresses": {**spec["addresses"], "alpha": 5}},
+            lambda spec: {**spec, "weights": ["a", "b"]},
+            lambda spec: {**spec, "weights": [1.0]},
+            lambda spec: {**spec, "weights": [1.0, -0.5]},
+            lambda spec: {**spec, "weights": [0.0, 0]},
+            lambda spec: {**spec, "weights": [1.0, float("inf")]},
+            lambda spec: {
+                **spec,
+                "partitions": {**spec["partitions"], "alpha": [[34], [29, "doc"]]},
+            },
         ],
         ids=[
             "format-only",
@@ -206,6 +215,12 @@ class TestSessionSpec:
             "precision-out-of-range",
             "mask-bits-str",
             "address-int",
+            "weights-str",
+            "weights-count",
+            "weights-negative",
+            "weights-zero",
+            "weights-inf",
+            "row-short",
         ],
     )
     def test_malformed_spec_raises_configuration_error(self, tmp_path, mutate):
@@ -300,7 +315,7 @@ class TestClusterSupervisor:
             ROWS,
             unix_addresses(PARTIES, str(tmp_path)),
             # Survivors must outwait the respawn (interpreter start +
-            # numpy/scipy imports, seconds on a loaded CI runner):
+            # the numpy import, seconds on a loaded CI runner):
             # death declared mid-restart is sticky and unrecoverable.
             transport={"dead_after": 60.0},
         )
