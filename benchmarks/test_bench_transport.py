@@ -14,6 +14,9 @@ rewritten stack against the seed implementations preserved in
   wire bytes asserted byte-identical.
 * **raw seal** -- one-sided sealing throughput (midstate keystream +
   numpy XOR vs ``hmac.new`` + per-byte XOR), reported alongside.
+* **CCM message codec** -- one alphanumeric ``ccm_matrices`` payload
+  (32x32 intermediary CCMs of 16x16 ``uint8``): the array-run codec vs
+  the seed's per-array records, wire bytes asserted identical.
 * **end-to-end session** -- a sealed-channel clustering workload run on
   both transports via :class:`repro.apps.sessions.SessionBatch` (DH
   setup amortised out of the comparison), with every frame of every
@@ -28,13 +31,16 @@ from __future__ import annotations
 import os
 import time
 
+import numpy as np
 import pytest
 
 from repro.apps.sessions import SessionBatch
+from repro.core.alphanumeric import initiator_mask_strings, responder_ccm_matrices
 from repro.core.config import ProtocolSuiteConfig, SessionConfig
 from repro.crypto.prng import make_prng
 from repro.crypto.reference import ScalarSymmetricCipher, scalar_transport
 from repro.crypto.sym import SymmetricCipher
+from repro.data.alphabet import DNA_ALPHABET
 from repro.data.matrix import AttributeSpec, DataMatrix
 from repro.network.channel import Eavesdropper
 from repro.network.serialization import deserialize, serialize
@@ -156,6 +162,51 @@ def test_codec_int_run_speedup(table, bench_store):
     )
     assert encode_speedup >= min(1.5, SPEEDUP_BAR)
     assert decode_speedup >= min(1.2, SPEEDUP_BAR)
+
+
+def test_codec_ccm_message_speedup(table, bench_store):
+    """Array-run encode/decode of one CCM message vs the seed's per-array
+    records (the ``construct-mixed`` shape: 32 DNA strings of 16 per site)."""
+    rng = np.random.default_rng(7)
+    strings_j, strings_k = (
+        ["".join("ACGT"[i] for i in rng.integers(0, 4, 16)) for _ in range(32)] for _ in range(2)
+    )
+    masked = initiator_mask_strings(strings_j, DNA_ALPHABET, make_prng(3))
+    payload = {
+        "attribute": "seq",
+        "initiator": "A",
+        "matrices": responder_ccm_matrices(strings_k, masked, DNA_ALPHABET),
+    }
+    wire = serialize(payload)
+    fast_encode = _best_of(lambda: serialize(payload))
+    fast_decode = _best_of(lambda: deserialize(wire))
+    with scalar_transport():
+        assert serialize(payload) == wire
+        seed_encode = _best_of(lambda: serialize(payload))
+        seed_decode = _best_of(lambda: deserialize(wire))
+    encode_speedup = seed_encode / fast_encode
+    decode_speedup = seed_decode / fast_decode
+    table(
+        "T-TRANSPORT: wire codec, one CCM message (1,024 16x16 uint8 arrays)",
+        [
+            ("encode", f"{seed_encode * 1e3:.1f} ms", f"{fast_encode * 1e3:.1f} ms", f"{encode_speedup:.1f}x"),
+            ("decode", f"{seed_decode * 1e3:.1f} ms", f"{fast_decode * 1e3:.1f} ms", f"{decode_speedup:.1f}x"),
+        ],
+        ("path", "seed", "array runs", "speedup"),
+    )
+    bench_store(
+        "transport",
+        {
+            "codec_ccm_message": {
+                "arrays": 32 * 32,
+                "bytes": len(wire),
+                "encode_speedup": round(encode_speedup, 2),
+                "decode_speedup": round(decode_speedup, 2),
+            }
+        },
+    )
+    assert encode_speedup >= min(2.0, SPEEDUP_BAR)
+    assert decode_speedup >= min(2.0, SPEEDUP_BAR)
 
 
 def _workload():

@@ -39,10 +39,15 @@ Vectorization
 The per-string / per-row re-initialisation of Figures 8 and 10 means the
 mask vector ``R`` is the *same stream prefix* every time, so one
 :meth:`~repro.crypto.prng.ReseedablePRNG.next_below_block` draw (plus one
-``reset``) covers all strings/rows; masking, intermediary construction
-and binarisation are modular array arithmetic; and the edit-distance DPs
-batch across equal-shape string pairs.  Outputs are bitwise identical to
-the scalar reference in :mod:`repro.core.reference` -- not a single
+``reset``) covers all strings/rows.  CCMs are built and binarised in
+blocks, one per shape: the responder groups both string lists by length
+and computes every (own length, initiator length) group as one ``uint8``
+tensor, each CCM a view of it; the third party stacks the received CCMs
+of each shape, unmasks the stack in one comparison (both mask variants)
+and hands it straight to the batched edit-distance DP.  Ragged string
+lengths take the same code with more groups, and both sides chunk a
+group under the DP's cell budget.  Outputs are bitwise identical to the
+scalar reference in :mod:`repro.core.reference` -- not a single
 protocol message changes.  (Exactness note: a scalar Figure 8/10 run
 consumes its *entry* stream for the first string/row and the
 *post-reset* stream afterwards; the vectorized code reproduces both, so
@@ -57,7 +62,7 @@ import numpy as np
 
 from repro.crypto.prng import ReseedablePRNG
 from repro.data.alphabet import Alphabet
-from repro.distance.edit import edit_distances_from_ccms
+from repro.distance.edit import batch_chunk, edit_distances_from_ccms
 from repro.exceptions import ProtocolError
 
 
@@ -106,6 +111,18 @@ def initiator_mask_strings(
     return masked
 
 
+def _length_groups(codes: Sequence[np.ndarray]) -> list[tuple[list[int], np.ndarray]]:
+    """Indices of equal-length code arrays with their ``uint8`` stack, one
+    entry per length in first-seen order."""
+    groups: dict[int, list[int]] = {}
+    for index, arr in enumerate(codes):
+        groups.setdefault(arr.size, []).append(index)
+    return [
+        (indices, np.array([codes[i] for i in indices], dtype=np.uint8))
+        for indices in groups.values()
+    ]
+
+
 def responder_ccm_matrices(
     own_strings: Sequence[str],
     masked_initiator: Sequence[str],
@@ -116,21 +133,32 @@ def responder_ccm_matrices(
     ``result[m][n][q, p] = (code(s'_n[p]) - code(t_m[q])) mod |A|`` as a
     uint8 array.  No randomness is involved on this side; the masking
     DHJ applied already hides the source characters from DHK.  Strings
-    are encoded once and every pair is a single broadcast subtraction.
+    are encoded once and grouped by length; each pair of length groups
+    is one broadcast subtraction over an ``(own, initiator, rows, cols)``
+    tensor, chunked over own strings under the DP's cell budget, and
+    every CCM is a view of its tensor.
     """
     _require_byte_codes(alphabet)
     own_codes = [alphabet.encode_validated(own) for own in own_strings]
     masked_codes = [alphabet.encode_array(masked) for masked in masked_initiator]
-    size = alphabet.size
-    result: list[list[np.ndarray]] = []
-    for own in own_codes:
-        own_col = own[:, None]
-        result.append(
-            [
-                ((masked[None, :] - own_col) % size).astype(np.uint8)
-                for masked in masked_codes
-            ]
-        )
+    # uint8 subtraction wraps modulo 256; adding |A| wherever it wrapped
+    # (the own code was the larger) makes the result modulo |A|.
+    wrap = np.uint8(alphabet.size % 256)
+    masked_groups = _length_groups(masked_codes)
+    placeholder = np.empty((0, 0), dtype=np.uint8)
+    result = [[placeholder] * len(masked_codes) for _ in own_codes]
+    for own_indices, own_block in _length_groups(own_codes):
+        for masked_indices, masked_block in masked_groups:
+            source = masked_block[None, :, None, :]
+            step = batch_chunk(len(masked_indices) * own_block.shape[1], masked_block.shape[1])
+            for start in range(0, len(own_indices), step):
+                target = own_block[start : start + step, None, :, None]
+                tensor = source - target
+                tensor += wrap * (source < target)
+                for m, ccms in zip(own_indices[start : start + step], tensor):
+                    row = result[m]
+                    for n, ccm in zip(masked_indices, ccms):
+                        row[n] = ccm
     return result
 
 
@@ -146,23 +174,34 @@ def _mask_vectors(
     return first_masks, rest_masks
 
 
-def _binarize(
-    intermediary: np.ndarray,
-    row_masks: np.ndarray,
-    later_masks: np.ndarray,
-    size: int,
-) -> np.ndarray:
-    """One CCM: row 0 unmasked with ``row_masks``, rows 1+ with
-    ``later_masks`` (they coincide whenever the generator started fresh)."""
-    cols = intermediary.shape[1]
-    ccm = (
-        (intermediary.astype(np.int64) - later_masks[None, :cols]) % size != 0
-    ).astype(np.uint8)
-    if ccm.shape[0]:
-        ccm[0] = (
-            (intermediary[0].astype(np.int64) - row_masks[:cols]) % size != 0
-        ).astype(np.uint8)
-    return ccm
+def _residues(stack: np.ndarray, size: int) -> np.ndarray:
+    """Intermediary codes modulo ``|A|``, the values Figure 10 unmasks,
+    in a dtype that holds every mask (so masks cast to it compare exactly).
+
+    A responder's ``uint8`` codes are already reduced and pass through
+    untouched; any other dtype, an out-of-range code or an alphabet
+    beyond ``uint8`` takes the exact int64 reduction of the scalar
+    reference."""
+    if stack.dtype == np.uint8 and size <= 256 and int(stack.max(initial=0)) < size:
+        return stack
+    return stack.astype(np.int64) % size
+
+
+def _flatten(
+    intermediary_matrices: Sequence[Sequence[np.ndarray]],
+) -> tuple[list[np.ndarray], int, int]:
+    """Row-major CCMs of a rectangular ``[m][n]`` grid, checked 2-D,
+    with the grid's row and column counts."""
+    rows = [list(row) for row in intermediary_matrices]
+    n_cols = len(rows[0]) if rows else 0
+    flat: list[np.ndarray] = []
+    for row in rows:
+        if len(row) != n_cols:
+            raise ProtocolError("ragged intermediary CCM matrix")
+        for intermediary in row:
+            _require_2d(intermediary)
+        flat.extend(row)
+    return flat, len(rows), n_cols
 
 
 def third_party_decode_ccm(
@@ -182,7 +221,10 @@ def third_party_decode_ccm(
     if rows == 0:
         return np.ones((0, cols), dtype=np.uint8)
     first_masks, rest_masks = _mask_vectors(rng_jt, cols, cols, alphabet.size)
-    return _binarize(intermediary, first_masks, rest_masks, alphabet.size)
+    codes = _residues(intermediary, alphabet.size)
+    ccm = (codes != rest_masks).astype(np.uint8)
+    ccm[0] = codes[0] != first_masks
+    return ccm
 
 
 def third_party_distances(
@@ -194,37 +236,28 @@ def third_party_distances(
 
     Returns the cross-site block ``J_K[m][n]`` = edit distance between
     responder string ``m`` and initiator string ``n`` as an int64 array.
-    Equal-shape pairs share one batched DP.
+    Equal-shape CCMs are unmasked as one stack and share one batched DP.
+    Every row reads the post-reset mask vector except row 0 of the first
+    CCM with rows, which a scalar run unmasks with the generator's entry
+    stream.
     """
-    rows_of_matrices = [list(row) for row in intermediary_matrices]
-    if not rows_of_matrices:
-        return np.zeros((0, 0), dtype=np.int64)
-    flat: list[np.ndarray] = []
-    for row in rows_of_matrices:
-        if len(row) != len(rows_of_matrices[0]):
-            raise ProtocolError("ragged intermediary CCM matrix")
-        for intermediary in row:
-            _require_2d(intermediary)
-            flat.append(intermediary)
+    flat, n_rows, n_cols = _flatten(intermediary_matrices)
     size = alphabet.size
-    populated = [m.shape[1] for m in flat if m.shape[0] > 0]
-    if populated:
-        longest = max(populated)
-        first_masks, rest_masks = _mask_vectors(
-            rng_jt, populated[0], longest, size
-        )
-    ccms = []
-    decoded_any = False
-    for intermediary in flat:
-        if intermediary.shape[0] == 0:
-            ccms.append(intermediary)
-            continue
-        row_masks = rest_masks if decoded_any else first_masks
-        ccms.append(_binarize(intermediary, row_masks, rest_masks, size))
-        decoded_any = True
-    distances = edit_distances_from_ccms(ccms)
-    n_cols = len(rows_of_matrices[0])
-    return distances.reshape(len(rows_of_matrices), n_cols)
+    populated = [(p, m.shape[1]) for p, m in enumerate(flat) if m.shape[0]]
+    if not populated:
+        return edit_distances_from_ccms(flat).reshape(n_rows, n_cols)
+    first, first_cols = populated[0]
+    longest = max(cols for _p, cols in populated)
+    first_masks, rest_masks = _mask_vectors(rng_jt, first_cols, longest, size)
+
+    def unmask(positions: list[int], stack: np.ndarray) -> np.ndarray:
+        codes = _residues(stack, size)
+        costs = codes != rest_masks[: stack.shape[2]].astype(codes.dtype)
+        if positions[0] == first:
+            costs[0, 0] = codes[0, 0] != first_masks
+        return costs
+
+    return edit_distances_from_ccms(flat, unmask).reshape(n_rows, n_cols)
 
 
 # -- fresh-masks extension (addresses the paper's Section 6 open problem) ------
@@ -267,34 +300,24 @@ def third_party_distances_fresh(
 
     The mask vector of initiator string ``n`` occupies stream positions
     ``sum(len(s_0..n-1)) .. +len(s_n)``; string lengths are read off the
-    CCM column counts, so no extra message is needed.
+    CCM column counts, so no extra message is needed.  Each stack of
+    equal-shape CCMs gathers its CCMs' mask vectors in one index.
     """
-    rows_of_matrices = [list(row) for row in intermediary_matrices]
-    if not rows_of_matrices:
-        return np.zeros((0, 0), dtype=np.int64)
-    first_row = rows_of_matrices[0]
-    size = alphabet.size
-    lengths = []
-    for intermediary in first_row:
-        _require_2d(intermediary)
-        lengths.append(intermediary.shape[1])
-    stream = rng_jt.next_below_block(sum(lengths), size)
-    bounds = np.cumsum([0] + lengths)
-    masks = [stream[bounds[n] : bounds[n + 1]] for n in range(len(lengths))]
-    ccms: list[np.ndarray] = []
-    for row in rows_of_matrices:
-        if len(row) != len(masks):
-            raise ProtocolError("ragged intermediary CCM matrix")
-        for n, intermediary in enumerate(row):
-            if intermediary.ndim != 2 or intermediary.shape[1] != masks[n].size:
-                raise ProtocolError(
-                    f"CCM column count {intermediary.shape} does not match "
-                    f"initiator string {n} length {masks[n].size}"
-                )
-            ccms.append(
-                ((intermediary.astype(np.int64) - masks[n][None, :]) % size != 0).astype(
-                    np.uint8
-                )
+    flat, n_rows, n_cols = _flatten(intermediary_matrices)
+    lengths = [m.shape[1] for m in flat[:n_cols]]
+    for p, intermediary in enumerate(flat):
+        if intermediary.shape[1] != lengths[p % n_cols]:
+            raise ProtocolError(
+                f"CCM column count {intermediary.shape} does not match "
+                f"initiator string {p % n_cols} length {lengths[p % n_cols]}"
             )
-    distances = edit_distances_from_ccms(ccms)
-    return distances.reshape(len(rows_of_matrices), len(first_row))
+    size = alphabet.size
+    stream = rng_jt.next_below_block(sum(lengths), size)
+    starts = np.cumsum([0] + lengths[:-1], dtype=np.int64)
+
+    def unmask(positions: list[int], stack: np.ndarray) -> np.ndarray:
+        codes = _residues(stack, size)
+        columns = starts[np.asarray(positions) % n_cols, None] + np.arange(stack.shape[2])
+        return codes != stream[columns].astype(codes.dtype)[:, None, :]
+
+    return edit_distances_from_ccms(flat, unmask).reshape(n_rows, n_cols)

@@ -20,7 +20,7 @@ paper.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,8 @@ from repro.exceptions import ConfigurationError
 
 
 def _dp_edit_distance_batch(substitution_costs: np.ndarray) -> np.ndarray:
-    """DP over a stack of (batch x rows x cols) 0/1 substitution costs.
+    """DP over a stack of (batch x rows x cols) 0/1 substitution costs
+    (any integer or bool dtype).
 
     ``substitution_costs[b, q, p]`` is the cost of aligning target char
     ``q`` with source char ``p`` in pair ``b``.  The row recurrence
@@ -62,13 +63,14 @@ def _dp_edit_distance(substitution_cost: np.ndarray) -> int:
     return int(_dp_edit_distance_batch(substitution_cost[None, :, :])[0])
 
 
-#: Per-chunk budget for stacked cost matrices (int64 cells).  Batching
-#: wins come from amortising row updates over a few thousand pairs;
-#: beyond that, stacking only inflates peak memory.
+#: Per-chunk budget for stacked matrices (cells).  Batching wins come
+#: from amortising row updates over a few thousand pairs; beyond that,
+#: stacking only inflates peak memory.
 _BATCH_CELL_BUDGET = 4_000_000
 
 
-def _batch_chunk(rows: int, cols: int) -> int:
+def batch_chunk(rows: int, cols: int) -> int:
+    """How many ``rows x cols`` matrices one stacked chunk may hold."""
     return max(1, _BATCH_CELL_BUDGET // max(1, rows * cols))
 
 
@@ -107,31 +109,37 @@ def edit_distance_from_ccm(ccm: np.ndarray) -> int:
     return _dp_edit_distance(cost)
 
 
-def edit_distances_from_ccms(ccms: Sequence[np.ndarray]) -> np.ndarray:
+def edit_distances_from_ccms(
+    ccms: Sequence[np.ndarray],
+    binarize: Callable[[list[int], np.ndarray], np.ndarray] | None = None,
+) -> np.ndarray:
     """Distances for many CCMs, batching equal-shaped DPs together.
 
-    Output order matches the input order; shape groups are solved with
-    one stacked DP each, so ``k`` uniform-length pairs cost ``rows``
-    numpy row updates total instead of ``k * rows``.
+    Output order matches the input order.  CCMs of one shape are stacked
+    in chunks of at most :func:`batch_chunk` matrices and each chunk is
+    solved by one DP, so ``k`` uniform-length pairs cost ``rows`` numpy
+    row updates total instead of ``k * rows``.  ``binarize(positions,
+    stack)``, when given, maps a chunk's ``(k, rows, cols)`` stack of the
+    CCMs at ``positions`` to 0/1 substitution costs (the third party's
+    Figure 10 unmasking); by default any non-zero entry costs 1.  Empty
+    sides never reach it: their distance is the other side's length.
     """
     out = np.empty(len(ccms), dtype=np.int64)
-    groups: dict[tuple[int, int], list[int]] = {}
+    groups: dict[tuple[int, ...], list[int]] = {}
     for position, ccm in enumerate(ccms):
         if ccm.ndim != 2:
             raise ConfigurationError(f"CCM must be 2-D, got shape {ccm.shape}")
-        rows, cols = ccm.shape
-        if rows == 0:
-            out[position] = cols
-        elif cols == 0:
-            out[position] = rows
-        else:
-            groups.setdefault((rows, cols), []).append(position)
+        groups.setdefault(ccm.shape, []).append(position)
     for (rows, cols), positions in groups.items():
-        chunk = _batch_chunk(rows, cols)
+        if rows == 0 or cols == 0:
+            out[positions] = rows + cols
+            continue
+        chunk = batch_chunk(rows, cols)
         for start in range(0, len(positions), chunk):
             part = positions[start : start + chunk]
-            stack = (np.stack([ccms[p] for p in part]) != 0).astype(np.int64)
-            out[np.asarray(part)] = _dp_edit_distance_batch(stack)
+            stack = np.concatenate([ccms[p] for p in part]).reshape(len(part), rows, cols)
+            costs = stack != 0 if binarize is None else binarize(part, stack)
+            out[part] = _dp_edit_distance_batch(costs)
     return out
 
 
@@ -186,7 +194,7 @@ def pairwise_edit_distance_rows(strings: Sequence[str], first_row: int) -> np.nd
                 )
             position += 1
     for (rows, cols), pairs in groups.items():
-        chunk = _batch_chunk(rows, cols)
+        chunk = batch_chunk(rows, cols)
         for start in range(0, len(pairs), chunk):
             part = pairs[start : start + chunk]
             stack = np.stack(

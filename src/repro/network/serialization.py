@@ -23,9 +23,31 @@ through fixed-width numpy views grouped by magnitude width, and
 the bodies the same way.  Both emit/consume the exact bytes of the
 per-element :func:`_encode_int` path (the equivalence suite pins this),
 and :func:`serialized_size` prices any payload without materializing a
-buffer.  ``_FAST_PATHS`` exists so
-:func:`repro.crypto.reference.scalar_transport` can replay the seed
-transport for transcript-equality tests and benchmarks.
+buffer.
+
+The alphanumeric protocol's payload is the other hot shape: lists of
+small arrays that share one dtype and shape (one intermediary CCM per
+string pair).  Every record of such a run carries the same header -- tag,
+dtype, shape, body length -- so :func:`_encode_array_run` writes the
+header into every row of one ``uint8`` block and the bodies beside it in
+one copy, and :func:`_decode_array_run` decodes the first record through
+:func:`_decode`, checks every later header against it in one array
+comparison bounded by the buffer end, and copies the bodies out as one
+tensor.  Speculation stops at the first header that differs; the generic
+path decodes that record (raising where it would have raised) and
+re-anchors the next run, so corrupt or ragged lists fail and succeed
+exactly as they would record by record.  A record whose successor's
+header differs (most records of a CCM row over strings of many lengths)
+costs one bytes comparison beyond its generic decode.
+
+``_FAST_PATHS`` exists so :func:`repro.crypto.reference.scalar_transport`
+can replay the seed codec for transcript-equality tests and benchmarks.
+
+Array bodies are little-endian on the wire whatever the array's byte
+order in memory; native arrays on little-endian hosts encode exactly as
+before.  Decoding refuses containers nested deeper than
+:data:`MAX_DEPTH`, so a hostile frame cannot exhaust the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
@@ -50,6 +72,11 @@ _TAG_BOOL = b"b"
 
 _ALLOWED_DTYPES = {"uint8", "int8", "int32", "int64", "uint32", "uint64", "float32", "float64"}
 
+#: Native dtype -> wire name.  ``np.dtype.name`` is computed in Python on
+#: every access, at a cost of microseconds -- more than copying a CCM's
+#: body -- so the encoder looks native dtypes up here instead.
+_DTYPE_NAMES = {np.dtype(name): name for name in _ALLOWED_DTYPES}
+
 #: Batched integer-run codec on/off switch.  Production always runs with
 #: fast paths; the scalar-transport context manager flips this to replay
 #: the seed's per-element encode/decode for equivalence testing.
@@ -58,6 +85,13 @@ _FAST_PATHS = True
 #: Largest magnitude that the batched run codec handles in a ``uint64``
 #: lane; rarer, wider values inside a run are spliced in per element.
 _U64_MAX = (1 << 64) - 1
+
+#: Deepest container nesting :func:`deserialize` accepts (the top-level
+#: value is depth 0).  The deepest real payload is a CCM message, dict ->
+#: list -> list -> array -> shape tuple -> int, five levels down; a frame
+#: nested past this bound is refused with :class:`ChannelError` long
+#: before the decoder's recursion could exhaust the interpreter stack.
+MAX_DEPTH = 32
 
 
 def _pack_length(value: int) -> bytes:
@@ -133,6 +167,63 @@ def _encode_int_run(values: list[Any], out: list[bytes]) -> bool:
     return True
 
 
+def _wire_dtype(dtype: np.dtype) -> np.dtype:
+    """The little-endian twin of ``dtype``: array bodies' wire byte order."""
+    return dtype.newbyteorder("<")
+
+
+def _array_header(array: np.ndarray) -> bytes:
+    """An array record's bytes before its body: tag, dtype, shape, length."""
+    dtype_name = _DTYPE_NAMES.get(array.dtype) or array.dtype.name
+    if dtype_name not in _ALLOWED_DTYPES:
+        raise ChannelError(f"unsupported array dtype {dtype_name!r}")
+    head = [_TAG_ARRAY]
+    _encode(dtype_name, head)
+    _encode(tuple(int(d) for d in array.shape), head)
+    head.append(_pack_length(array.nbytes))
+    return b"".join(head)
+
+
+def _encode_array_run(arrays: list[np.ndarray], out: list[bytes]) -> None:
+    """Append the records of ``arrays`` (one dtype, one shape) as one buffer.
+
+    The bytes equal the per-element encoding: every row of a
+    ``(len(arrays), header + body)`` block gets the shared header, and
+    the bodies -- each array in C order, little-endian -- are copied in
+    by one concatenation.
+    """
+    first = arrays[0]
+    header = _array_header(first)
+    block = np.empty((len(arrays), len(header) + first.nbytes), dtype=np.uint8)
+    block[:, : len(header)] = np.frombuffer(header, dtype=np.uint8)
+    bodies = np.concatenate(arrays, axis=None).astype(_wire_dtype(first.dtype), copy=False)
+    block[:, len(header) :] = bodies.view(np.uint8).reshape(len(arrays), first.nbytes)
+    out.append(block.tobytes())
+
+
+def _encode_array_runs(items: list[Any], out: list[bytes]) -> None:
+    """Encode a list's elements, batching each run of same-dtype,
+    same-shape arrays through :func:`_encode_array_run`."""
+    start, n = 0, len(items)
+    while start < n:
+        first = items[start]
+        end = start + 1
+        if type(first) is np.ndarray:
+            dtype, shape = first.dtype, first.shape
+            while (
+                end < n
+                and type(items[end]) is np.ndarray
+                and items[end].dtype == dtype
+                and items[end].shape == shape
+            ):
+                end += 1
+        if end - start > 1:
+            _encode_array_run(items[start:end], out)
+        else:
+            _encode(first, out)
+        start = end
+
+
 def _encode(obj: Any, out: list[bytes]) -> None:
     if obj is None:
         out.append(_TAG_NONE)
@@ -156,14 +247,19 @@ def _encode(obj: Any, out: list[bytes]) -> None:
     elif isinstance(obj, list):
         out.append(_TAG_LIST)
         out.append(_pack_length(len(obj)))
-        # Fast path for the protocols' hot payloads (masked vectors and
-        # comparison-matrix rows are flat lists of Python ints); emits
-        # byte-identical output to the generic recursion.  The non-batched
-        # branch keeps the seed's per-element join so the scalar-transport
-        # baseline is the honest seed implementation, not a strawman.
-        if _FAST_PATHS and obj and _encode_int_run(obj, out):
+        # Fast paths for the protocols' hot payloads (masked vectors and
+        # comparison-matrix rows are flat lists of Python ints, CCM rows
+        # lists of equal-shape arrays); both emit byte-identical output
+        # to the generic recursion.  The non-batched branches keep the
+        # seed's per-element code so the scalar-transport baseline is the
+        # honest seed implementation, not a strawman.
+        if not obj:
             pass
-        elif obj and all(type(item) is int for item in obj):
+        elif _FAST_PATHS and type(obj[0]) is int and _encode_int_run(obj, out):
+            pass
+        elif _FAST_PATHS and type(obj[0]) is np.ndarray:
+            _encode_array_runs(obj, out)
+        elif all(type(item) is int for item in obj):
             out.append(b"".join(map(_encode_int, obj)))
         else:
             for item in obj:
@@ -182,16 +278,8 @@ def _encode(obj: Any, out: list[bytes]) -> None:
             _encode(key, out)
             _encode(obj[key], out)
     elif isinstance(obj, np.ndarray):
-        dtype_name = obj.dtype.name
-        if dtype_name not in _ALLOWED_DTYPES:
-            raise ChannelError(f"unsupported array dtype {dtype_name!r}")
-        contiguous = np.ascontiguousarray(obj)
-        out.append(_TAG_ARRAY)
-        _encode(dtype_name, out)
-        _encode(tuple(int(d) for d in contiguous.shape), out)
-        raw = contiguous.tobytes()
-        out.append(_pack_length(len(raw)))
-        out.append(raw)
+        out.append(_array_header(obj))
+        out.append(obj.astype(_wire_dtype(obj.dtype), copy=False).tobytes())
     elif isinstance(obj, (np.integer,)):
         _encode(int(obj), out)
     elif isinstance(obj, (np.floating,)):
@@ -204,6 +292,13 @@ class _Reader:
     def __init__(self, data: bytes) -> None:
         self._data = data
         self._pos = 0
+        self._u8: np.ndarray | None = None
+
+    def u8(self) -> np.ndarray:
+        """The whole buffer as a read-only ``uint8`` array (made once)."""
+        if self._u8 is None:
+            self._u8 = np.frombuffer(self._data, dtype=np.uint8)
+        return self._u8
 
     def take(self, count: int) -> bytes:
         if self._pos + count > len(self._data):
@@ -257,7 +352,6 @@ def _decode_int_run(reader: _Reader, count: int) -> list[Any]:
     data = reader._data
     pos = reader._pos
     end = len(data)
-    u8: np.ndarray | None = None
     items: list[Any] = []
     # Decaying mean of records consumed per chunk; heterogeneous-width
     # payloads drive it down and hand the remainder to the tight scalar
@@ -279,9 +373,7 @@ def _decode_int_run(reader: _Reader, count: int) -> list[Any]:
         stride = 6 + width
         possible = min(count - len(items), (end - pos) // stride, _VECTOR_CHUNK_MAX)
         if width <= 8 and possible >= _VECTOR_RUN_MIN:
-            if u8 is None:
-                u8 = np.frombuffer(data, dtype=np.uint8)
-            block = u8[pos : pos + stride * possible].reshape(possible, stride)
+            block = reader.u8()[pos : pos + stride * possible].reshape(possible, stride)
             # One gathered comparison validates tag and length of every
             # speculated header (bytes 0 and 2..5; byte 1 is the sign).
             headers_ok = (
@@ -336,7 +428,51 @@ def _decode_int_run_scalar(reader: _Reader, count: int) -> list[Any]:
     return items
 
 
-def _decode(reader: _Reader) -> Any:
+def _decode_array_run(reader: _Reader, count: int, depth: int) -> list[np.ndarray]:
+    """Decode up to ``count`` consecutive array records sharing one header.
+
+    The record at the reader (tag ``A``) is decoded by :func:`_decode`,
+    which validates it in full.  Records after it that repeat its header
+    byte for byte parse to the same dtype and shape, so one comparison
+    over a strided block checks every header that fits in the buffer,
+    and the bodies up to the first mismatch are copied out as one
+    tensor.  The caller decodes the mismatching record generically.
+    Each returned array is writable and owns no part of the frame.
+    """
+    start = reader._pos
+    first = _decode(reader, depth)
+    items = [first]
+    stride = reader._pos - start
+    header_len = stride - first.nbytes
+    data, pos = reader._data, reader._pos
+    possible = min(count - 1, (len(data) - pos) // stride)
+    # In a ragged list the next header usually differs; one bytes
+    # comparison settles that before any array is built.
+    if possible <= 0 or data[pos : pos + header_len] != data[start : start + header_len]:
+        return items
+    u8 = reader.u8()
+    block = u8[pos : pos + possible * stride].reshape(possible, stride)
+    same = (block[:, :header_len] == u8[start : start + header_len]).all(axis=1)
+    good = possible if same.all() else int(np.argmin(same))
+    tensor = (
+        block[:good, header_len:]
+        .view(_wire_dtype(first.dtype))
+        .reshape((good, *first.shape))
+        .astype(first.dtype)
+    )
+    if first.ndim:
+        items.extend(tensor)
+    else:
+        items.extend(tensor[i, ...] for i in range(good))
+    reader._pos += good * stride
+    return items
+
+
+def _decode(reader: _Reader, depth: int = 0) -> Any:
+    if depth > MAX_DEPTH:
+        raise ChannelError(
+            f"payload nests containers more than {MAX_DEPTH} levels deep"
+        )
     tag = reader.take(1)
     if tag == _TAG_NONE:
         return None
@@ -363,28 +499,35 @@ def _decode(reader: _Reader) -> Any:
         # parsed with batched slicing instead of per-element recursion.
         # The scalar branch is the seed's in-place loop, kept as the
         # honest baseline for the scalar-transport replay.
-        if _FAST_PATHS:
-            items = _decode_int_run(reader, count)
-        else:
+        depth += 1
+        if not _FAST_PATHS:
             items = _decode_int_run_scalar(reader, count)
-        items.extend(_decode(reader) for _ in range(count - len(items)))
+            items.extend(_decode(reader, depth) for _ in range(count - len(items)))
+            return items
+        items = _decode_int_run(reader, count)
+        data = reader._data
+        while len(items) < count:
+            if reader._pos < len(data) and data[reader._pos] == 0x41:  # b"A"
+                items.extend(_decode_array_run(reader, count - len(items), depth))
+            else:
+                items.append(_decode(reader, depth))
         return items
     if tag == _TAG_TUPLE:
-        return tuple(_decode(reader) for _ in range(reader.length()))
+        return tuple(_decode(reader, depth + 1) for _ in range(reader.length()))
     if tag == _TAG_DICT:
         count = reader.length()
         result = {}
         for _ in range(count):
-            key = _decode(reader)
+            key = _decode(reader, depth + 1)
             if not isinstance(key, str):
                 raise ChannelError(f"dict keys must be str, got {type(key).__name__}")
-            result[key] = _decode(reader)
+            result[key] = _decode(reader, depth + 1)
         return result
     if tag == _TAG_ARRAY:
-        dtype_name = _decode(reader)
+        dtype_name = _decode(reader, depth + 1)
         if not isinstance(dtype_name, str) or dtype_name not in _ALLOWED_DTYPES:
             raise ChannelError(f"unsupported array dtype {str(dtype_name)[:32]!r}")
-        shape = _decode(reader)
+        shape = _decode(reader, depth + 1)
         if not isinstance(shape, tuple) or not all(
             type(dim) is int and dim >= 0 for dim in shape
         ):
@@ -392,8 +535,9 @@ def _decode(reader: _Reader) -> Any:
                 f"array shape must be a tuple of ints >= 0, got {type(shape).__name__}"
             )
         raw = reader.take(reader.length())
+        dtype = np.dtype(dtype_name)
         try:
-            return np.frombuffer(raw, dtype=np.dtype(dtype_name)).reshape(shape).copy()
+            return np.frombuffer(raw, dtype=_wire_dtype(dtype)).reshape(shape).astype(dtype)
         except ValueError:
             raise ChannelError(
                 f"{len(raw)} byte(s) do not fill a {len(shape)}-dim "
@@ -444,13 +588,15 @@ def encode_frame(obj: Any) -> bytes:
     return _pack_length(len(body)) + body
 
 
-def frame_body_length(header: bytes) -> int:
+def frame_body_length(header: bytes, cap: int = MAX_FRAME_BODY) -> int:
     """Decode a frame's length prefix into its body byte count.
 
     Socket readers call this on exactly :data:`FRAME_HEADER_LEN` bytes;
-    a short header (peer died mid-frame) or an implausible length (the
-    stream desynchronised) raises :class:`ChannelError` so the transport
-    treats the connection as broken rather than misparsing.
+    a short header (peer died mid-frame) or a length beyond ``cap`` (the
+    stream desynchronised, or a peer not yet trusted declares more than
+    its stage of the protocol can send) raises :class:`ChannelError` so
+    the transport treats the connection as broken rather than misparsing
+    or allocating the declared body.
     """
     if len(header) != FRAME_HEADER_LEN:
         raise ChannelError(
@@ -458,10 +604,10 @@ def frame_body_length(header: bytes) -> int:
             f"got {len(header)}"
         )
     length = int(struct.unpack(">I", header)[0])
-    if length > MAX_FRAME_BODY:
+    if length > cap:
         raise ChannelError(
             f"frame header declares a {length}-byte body, beyond the "
-            f"{MAX_FRAME_BODY}-byte cap; stream is desynchronised"
+            f"{cap}-byte cap; stream is desynchronised"
         )
     return length
 

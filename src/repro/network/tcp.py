@@ -66,6 +66,7 @@ from repro.network.message import Message
 from repro.network.retry import RetryPolicy
 from repro.network.serialization import (
     FRAME_HEADER_LEN,
+    MAX_FRAME_BODY,
     decode_frame,
     deserialize,
     encode_frame,
@@ -84,6 +85,13 @@ DEAD = "dead"
 
 #: Missed-heartbeat multiple after which an ``up`` peer turns ``suspect``.
 _SUSPECT_AFTER = 2.5
+
+#: Largest frame body read from a connection before its DH offer was
+#: processed.  Only hellos (under 200 bytes) and DH offers (315 bytes
+#: for the 2048-bit group) travel then; 4 KiB leaves room for long party
+#: names and an 8192-bit group, while an unauthenticated peer can no
+#: longer make the reader allocate up to ``MAX_FRAME_BODY``.
+HANDSHAKE_FRAME_BODY_CAP = 4096
 
 #: One sender-side transcript record: (era, recipient, kind, tag,
 #: sha256 hex digest of the frame body as it crossed the wire).
@@ -383,7 +391,7 @@ class SocketTransport(Transport):
     ) -> None:
         peer: _Peer | None = None
         try:
-            frame = await self._read_frame(reader)
+            frame = await self._read_frame(reader, HANDSHAKE_FRAME_BODY_CAP)
             if hs.frame_type(frame) != hs.HELLO:
                 raise ChannelError("connection must open with a hello frame")
             hello = hs.parse_hello(frame)
@@ -439,8 +447,9 @@ class SocketTransport(Transport):
             # A stale previous connection; drop it in favour of this one.
             peer.writer.close()
         peer.writer = writer
+        body_cap = HANDSHAKE_FRAME_BODY_CAP
         while True:
-            frame = await self._read_frame(reader)
+            frame = await self._read_frame(reader, body_cap)
             kind = hs.frame_type(frame)
             now = self._loop.time()
             with self._cond:
@@ -451,6 +460,7 @@ class SocketTransport(Transport):
                 self._process_hello(peer, hs.parse_hello(frame))
             elif kind == hs.DH:
                 await self._process_dh(peer, hs.parse_dh(frame), writer)
+                body_cap = MAX_FRAME_BODY
             elif kind == hs.DATA:
                 await self._process_data(peer, hs.parse_data(frame), writer)
             elif kind == hs.ACK:
@@ -470,9 +480,11 @@ class SocketTransport(Transport):
                 if peer.status != DEAD and not self._closing:
                     self._set_status_locked(peer, DOWN)
 
-    async def _read_frame(self, reader: asyncio.StreamReader) -> Any:
+    async def _read_frame(self, reader: asyncio.StreamReader, body_cap: int) -> Any:
+        """One frame, refused before its body is read if it declares
+        more than ``body_cap`` bytes."""
         header = await reader.readexactly(FRAME_HEADER_LEN)
-        body = await reader.readexactly(frame_body_length(header))
+        body = await reader.readexactly(frame_body_length(header, body_cap))
         return decode_frame(header + body)
 
     async def _send_control(

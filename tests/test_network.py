@@ -59,6 +59,22 @@ class TestSerialization:
         out = deserialize(serialize(value))
         assert np.array_equal(out[0][0], value[0][0])
 
+    @pytest.mark.parametrize("dtype", [">u8", ">i8", ">u4", ">i4", ">f8", ">f4"])
+    def test_non_native_byte_order_round_trips_exactly(self, dtype):
+        """Bodies travel little-endian whatever the array's byte order, so
+        a big-endian array decodes to its own values, and its frame is
+        the little-endian array's frame."""
+        value = np.array([1, 2, 300], dtype=dtype)
+        if value.dtype.kind == "f":
+            value = np.array([1.5, -2.25, 0.1], dtype=dtype)
+        little = value.astype(value.dtype.newbyteorder("<"))
+        assert serialize(value) == serialize(little)
+        for payload in (value, [value, value, value]):
+            out = deserialize(serialize(payload))
+            for array in out if isinstance(out, list) else [out]:
+                assert array.dtype.name == value.dtype.name
+                assert array.tolist() == value.tolist()
+
     def test_numpy_scalars_coerced(self):
         assert deserialize(serialize(np.int64(7))) == 7
         assert deserialize(serialize(np.float64(1.5))) == 1.5
@@ -90,6 +106,7 @@ class TestSerialization:
             b"S" + _length(2) + b"\xff\xfe",
             b"D" + _length(1) + serialize([1]) + serialize(2),
             b"A" + serialize("int64") + serialize((-1,)) + _length(24) + bytes(24),
+            (b"L" + _length(1)) * 400 + b"N",
         ],
         ids=[
             "object-dtype",
@@ -100,6 +117,7 @@ class TestSerialization:
             "invalid-utf8",
             "list-dict-key",
             "negative-dim",
+            "nested-400-deep",
         ],
     )
     def test_hostile_input_raises_channel_error(self, data):
@@ -108,6 +126,16 @@ class TestSerialization:
         ValueError/TypeError/UnicodeDecodeError."""
         with pytest.raises(ChannelError):
             deserialize(data)
+
+    def test_nesting_bound_admits_every_shallower_payload(self):
+        from repro.network.serialization import MAX_DEPTH
+
+        value: list = []
+        for _ in range(MAX_DEPTH):
+            value = [value]
+        assert deserialize(serialize(value)) == value
+        with pytest.raises(ChannelError, match="levels deep"):
+            deserialize(serialize([value]))
 
     def test_truncated_rejected(self):
         data = serialize([1, 2, 3])

@@ -11,8 +11,11 @@ era-reset protocol a supervisor restart triggers.
 
 from __future__ import annotations
 
+import os
+import socket
 import tempfile
 import threading
+import time
 
 import pytest
 
@@ -344,6 +347,41 @@ class TestSocketTransport:
             assert exc.value.recipient == "beta"
             assert "deadline" in str(exc.value)
         finally:
+            _close_all(mesh)
+
+    def test_oversized_pre_handshake_frame_is_refused_before_its_body(self):
+        """Before its DH offer a connection carries only hellos and DH
+        offers, so a first frame declaring 1 MiB closes it at once -- the
+        transport never waits for (or allocates) the body -- and the mesh
+        still forms and carries a session."""
+        tmp = tempfile.mkdtemp()
+        addresses = {name: f"unix:{tmp}/{name}.sock" for name in ("alpha", "beta")}
+        mesh = {
+            name: SocketTransport(
+                name, addresses, SessionLinkSecurity(11, name), FINGERPRINT,
+                heartbeat_interval=0.05,
+            )
+            for name in addresses
+        }
+        listener = threading.Thread(target=mesh["beta"].connect_all, args=(20.0,))
+        listener.start()
+        try:
+            path = f"{tmp}/beta.sock"
+            deadline = time.monotonic() + 10.0
+            while not os.path.exists(path) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as raw:
+                raw.settimeout(5.0)
+                raw.connect(path)
+                raw.sendall((1 << 20).to_bytes(4, "big"))
+                assert raw.recv(1) == b""
+            mesh["alpha"].connect_all(20.0)
+            listener.join(timeout=25.0)
+            mesh["alpha"].send("alpha", "beta", "blob", {"v": 1}, tag="t")
+            message = mesh["beta"].receive("beta", kind="blob", sender="alpha", tag="t")
+            assert message.payload == {"v": 1}
+        finally:
+            listener.join(timeout=25.0)
             _close_all(mesh)
 
     def test_transient_disconnect_replays_unacked_frames(self):

@@ -11,8 +11,10 @@ full sessions across secure/insecure channels and every PRNG kind.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.core.config import ProtocolSuiteConfig, SessionConfig
 from repro.core.session import ClusteringSession
@@ -26,6 +28,7 @@ from repro.crypto.reference import (
 from repro.crypto.sym import SymmetricCipher, _KeystreamFactory, open_sealed, seal
 from repro.data.alphabet import DNA_ALPHABET
 from repro.data.matrix import AttributeSpec, DataMatrix
+from repro.exceptions import ChannelError
 from repro.network import serialization
 from repro.network.channel import Channel, Eavesdropper
 from repro.types import AttributeType
@@ -122,6 +125,82 @@ _INT_RUN = st.lists(
 )
 
 
+_CCM_RUN = [(np.arange(16, dtype=np.uint8) * (i + 1)).reshape(4, 4) for i in range(6)]
+
+
+@st.composite
+def _array_lists(draw, nested=True):
+    """Lists of same-dtype, same-shape array runs, broken mid-list by
+    other dtypes, shapes, non-arrays and nested lists; zero-size, 0-d,
+    non-contiguous and big-endian arrays included."""
+    items = []
+    kinds = ("run", "run", "other", "nested") if nested else ("run", "other")
+    for _ in range(draw(st.integers(0, 4))):
+        kind = draw(st.sampled_from(kinds))
+        if kind == "other":
+            items.append(draw(st.one_of(st.integers(-300, 300), st.text(max_size=3))))
+        elif kind == "nested":
+            items.append(draw(_array_lists(nested=False)))
+        else:
+            dtype = np.dtype(
+                draw(st.sampled_from(["uint8", "int32", "int64", "float64", ">u8", ">f8", ">i4"]))
+            )
+            shape = draw(st.sampled_from([(), (0,), (3,), (2, 0), (4, 4), (3, 2)]))
+            strided = bool(shape) and draw(st.booleans())
+            for _ in range(draw(st.integers(1, 5))):
+                if strided:
+                    wide = draw(hnp.arrays(dtype, shape[:-1] + (2 * shape[-1],)))
+                    items.append(wide[..., ::2])
+                else:
+                    items.append(draw(hnp.arrays(dtype, shape)))
+    return items
+
+
+def _assert_decoded(decoded, expected):
+    """Equal structure; arrays of the same dtype (native byte order),
+    shape and bit pattern."""
+    if isinstance(expected, np.ndarray):
+        assert type(decoded) is np.ndarray
+        assert decoded.dtype == expected.dtype.newbyteorder("=")
+        assert decoded.shape == expected.shape
+        assert decoded.tobytes() == expected.astype(decoded.dtype).tobytes()
+    elif isinstance(expected, list):
+        assert isinstance(decoded, list) and len(decoded) == len(expected)
+        for inner, want in zip(decoded, expected):
+            _assert_decoded(inner, want)
+    else:
+        assert decoded == expected
+
+
+def _arrays_in(value):
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, list):
+        for item in value:
+            yield from _arrays_in(item)
+
+
+def _decode_outcome(data):
+    try:
+        return "ok", serialization.deserialize(data)
+    except ChannelError:
+        return "error", None
+
+
+def _assert_decoders_agree(data):
+    """The fast and the scalar decoder raise ChannelError on the same
+    inputs (nothing else) and decode the rest to the same payload."""
+    fast, fast_value = _decode_outcome(data)
+    try:
+        serialization._FAST_PATHS = False
+        scalar, scalar_value = _decode_outcome(data)
+    finally:
+        serialization._FAST_PATHS = True
+    assert fast == scalar
+    if fast == "ok":
+        _assert_decoded(fast_value, scalar_value)
+
+
 class TestCodecEquivalence:
     @given(values=_INT_RUN)
     @settings(max_examples=120, deadline=None)
@@ -150,6 +229,53 @@ class TestCodecEquivalence:
         values = list(range(5000))
         wire = serialization.serialize(values)
         assert serialization.deserialize(wire) == values
+
+    @given(values=_array_lists())
+    @settings(max_examples=150, deadline=None)
+    def test_property_array_runs_byte_identical(self, values):
+        fast = serialization.serialize(values)
+        try:
+            serialization._FAST_PATHS = False
+            assert serialization.serialize(values) == fast
+            scalar = serialization.deserialize(fast)
+        finally:
+            serialization._FAST_PATHS = True
+        decoded = serialization.deserialize(fast)
+        _assert_decoded(decoded, scalar)
+        _assert_decoded(decoded, values)
+        assert serialization.serialized_size(values) == len(fast)
+        frame = np.frombuffer(fast, dtype=np.uint8)
+        for array in _arrays_in(decoded):
+            assert array.flags.writeable
+            assert not np.may_share_memory(array, frame)
+
+    @pytest.mark.parametrize("record", [1, 3, 5])
+    def test_altered_header_mid_run_decodes_like_scalar(self, record):
+        """Every header byte of record ``j``, altered two ways: both
+        decoders fail alike or decode the same payload."""
+        wire = serialization.serialize(_CCM_RUN)
+        stride = len(serialization.serialize(_CCM_RUN[0]))
+        start = 5 + record * stride  # past the list tag and count
+        for offset in range(start, start + stride - _CCM_RUN[0].nbytes):
+            for flip in (0x01, 0xFF):
+                altered = bytearray(wire)
+                altered[offset] ^= flip
+                _assert_decoders_agree(bytes(altered))
+
+    @pytest.mark.parametrize("cut", [1, 7, 16, 17, 40])
+    def test_truncated_run_raises_like_scalar(self, cut):
+        wire = serialization.serialize(_CCM_RUN)[:-cut]
+        _assert_decoders_agree(wire)
+        with pytest.raises(ChannelError, match="truncated message"):
+            serialization.deserialize(wire)
+
+    @pytest.mark.parametrize("count", [0, 3, 7, 60])
+    def test_wrong_declared_count_raises_like_scalar(self, count):
+        wire = serialization.serialize(_CCM_RUN)
+        altered = wire[:1] + count.to_bytes(4, "big") + wire[5:]
+        _assert_decoders_agree(altered)
+        with pytest.raises(ChannelError):
+            serialization.deserialize(altered)
 
 
 def _session_partitions():

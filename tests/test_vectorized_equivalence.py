@@ -21,7 +21,7 @@ from repro.core import numeric as num_vec
 from repro.core import reference as ref
 from repro.crypto.prng import available_kinds, make_prng
 from repro.data.alphabet import DNA_ALPHABET, FIGURE7_ALPHABET, Alphabet
-from repro.distance.edit import edit_distance_from_ccm
+from repro.distance.edit import edit_distance, edit_distance_from_ccm
 from repro.network.serialization import serialize
 
 ALL_KINDS = available_kinds()
@@ -187,3 +187,96 @@ class TestAlphanumericWireEquivalence:
         ccm_v = alnum_vec.third_party_decode_ccm(matrices[0][1], alphabet, jt_v)
         ccm_r = ref.third_party_decode_ccm(matrices[0][1], alphabet, jt_r)
         assert np.array_equal(ccm_v, ccm_r)
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int64])
+    def test_out_of_range_codes_binarise_like_reference(self, kind, alphabet, dtype):
+        """Codes a responder never sends (>= |A|, a wider dtype) still
+        unmask exactly as the scalar Figure 10 loop reads them."""
+        rng = np.random.default_rng(4)
+        matrices = [
+            [rng.integers(0, 256, (rows, cols)).astype(dtype) for cols in (0, 3, 5, 3)]
+            for rows in (2, 0, 4)
+        ]
+        got = alnum_vec.third_party_distances(matrices, alphabet, make_prng(9, kind))
+        tp = make_prng(9, kind)
+        want = [
+            [edit_distance_from_ccm(ref.third_party_decode_ccm(m, alphabet, tp)) for m in row]
+            for row in matrices
+        ]
+        assert got.tolist() == want
+
+    @given(
+        lengths_j=st.lists(st.integers(0, 6), max_size=6),
+        lengths_k=st.lists(st.integers(0, 6), max_size=5),
+        seed=st.integers(0, 2**32),
+        fresh=st.booleans(),
+        skip=st.integers(0, 2),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_property_ragged_ccm_blocks_match_reference(
+        self, kind, alphabet, lengths_j, lengths_k, seed, fresh, skip
+    ):
+        """Ragged length mixes (empty strings included), both mask
+        variants, TP generators passed in mid-stream: the shape-grouped
+        CCM build and binarisation give the scalar Figure 9-10 results,
+        the CCM message keeps its wire bytes, and the TP generator ends
+        in the scalar loop's state."""
+        rng = np.random.default_rng(seed)
+        chars = alphabet.characters
+        strings_j, strings_k = (
+            ["".join(chars[i] for i in rng.integers(0, len(chars), n)) for n in lengths]
+            for lengths in (lengths_j, lengths_k)
+        )
+        size = alphabet.size
+        if fresh:
+            masked = alnum_vec.initiator_mask_strings_fresh(
+                strings_j, alphabet, make_prng(seed, kind)
+            )
+        else:
+            masked = ref.initiator_mask_strings(strings_j, alphabet, make_prng(seed, kind))
+        matrices = alnum_vec.responder_ccm_matrices(strings_k, masked, alphabet)
+        expected = [
+            [
+                np.array(
+                    [[(alphabet.index(a) - alphabet.index(b)) % size for a in s] for b in t],
+                    dtype=np.uint8,
+                ).reshape(len(t), len(s))
+                for s in masked
+            ]
+            for t in strings_k
+        ]
+        assert serialize(matrices) == serialize(expected)
+
+        tp_v, tp_r = _clones(seed, kind)
+        for generator in (tp_v, tp_r):
+            for _ in range(skip):
+                generator.next_uint64()
+        if fresh:
+            got = alnum_vec.third_party_distances_fresh(matrices, alphabet, tp_v)
+            # String lengths are read off the CCMs, so no rows, no draws.
+            masks = [[tp_r.next_below(size) for _ in s] for s in masked] if matrices else []
+            want = [
+                [
+                    edit_distance_from_ccm(
+                        np.array(
+                            [
+                                [alphabet.unshift_code(int(c), mask) != 0 for c, mask in zip(line, masks[n])]
+                                for line in m
+                            ],
+                            dtype=np.uint8,
+                        ).reshape(m.shape)
+                    )
+                    for n, m in enumerate(row)
+                ]
+                for row in matrices
+            ]
+        else:
+            got = alnum_vec.third_party_distances(matrices, alphabet, tp_v)
+            want = [
+                [edit_distance_from_ccm(ref.third_party_decode_ccm(m, alphabet, tp_r)) for m in row]
+                for row in matrices
+            ]
+        assert got.tolist() == want
+        assert tp_v.next_uint64() == tp_r.next_uint64()
+        if skip == 0:
+            assert want == [[edit_distance(s, t) for s in strings_j] for t in strings_k]
