@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.core.config import ProtocolSuiteConfig
@@ -10,6 +11,8 @@ from repro.crypto.keys import secret_from_passphrase
 from repro.crypto.prng import make_prng
 from repro.data.matrix import AttributeSpec, DataMatrix, Schema
 from repro.data.partition import GlobalIndex
+from repro.distance.local import local_dissimilarity
+from repro.distance.numeric import FixedPointCodec
 from repro.exceptions import ProtocolError
 from repro.network.simulator import Network
 from repro.parties.base import Party
@@ -80,6 +83,36 @@ class TestDataHolder:
         _, holders, _ = _setup()
         with pytest.raises(ProtocolError):
             holders["A"].send_weights("TP", [1.0])
+
+    @pytest.mark.parametrize(
+        "precision, column",
+        [
+            (0, [2**51, -(2**52) + 7, 12345, 2**62 + 1, 3 * 2**51]),
+            (6, [5_000_000_000.123456, -4_000_000_000.5, 7, 2**40, 0.000001]),
+        ],
+    )
+    def test_local_matrix_beyond_int64_broadcast_is_exact(self, precision, column):
+        """Encoded magnitudes >= 2^51 leave the int64 broadcast; the
+        matrix must still equal the scalar Figure 12 loop bit for bit."""
+        spec = AttributeSpec("v", AttributeType.NUMERIC, precision=precision)
+        holder = DataHolder(
+            "A",
+            DataMatrix([spec], [[v] for v in column]),
+            Network(),
+            ProtocolSuiteConfig(secure_channels=False),
+            make_prng("big"),
+        )
+        codec = FixedPointCodec(precision)
+        encoded = codec.encode_column(column)
+        assert max(abs(v) for v in encoded) >= 2**51
+        expected = local_dissimilarity(
+            encoded, lambda a, b: codec.decode_distance(abs(a - b))
+        )
+        got = holder.local_matrix(spec)
+        assert got.num_objects == expected.num_objects
+        assert np.asarray(got.condensed).tobytes() == np.asarray(
+            expected.condensed, dtype=np.float64
+        ).tobytes()
 
     def test_group_key_distribution(self):
         _, holders, _ = _setup()
