@@ -32,9 +32,8 @@ from repro.crypto.keys import PairwiseSecret
 from repro.data.matrix import DataMatrix, Schema
 from repro.data.partition import GlobalIndex
 from repro.distance.dissimilarity import DissimilarityMatrix
-from repro.exceptions import ConfigurationError, ProtocolError, SnapshotError
+from repro.exceptions import ConfigurationError, SnapshotError
 from repro.network.serialization import deserialize, serialize
-from repro.types import LinkageMethod
 
 #: Version tag of the checkpoint blob layout.
 SNAPSHOT_FORMAT = 1
@@ -375,40 +374,9 @@ class ClusteringService:
     def recluster(self) -> ClusteringResult:
         """Cluster the current matrix and publish to every holder.
 
-        After a degraded delta (``suite.tolerate_faults``), clusters the
-        attributes whose construction completed and publishes only to
-        reachable holders -- same contract as
-        :meth:`repro.core.session.ClusteringSession.run`.
+        This is :meth:`repro.core.session.ClusteringSession.run` on the
+        standing session: after a degraded delta
+        (``suite.tolerate_faults``) it clusters the attributes whose
+        construction completed and publishes only to reachable holders.
         """
-        session = self._session
-        linkage = session.config.linkage
-        assert isinstance(linkage, LinkageMethod)
-        if session.degraded:
-            report = session.degraded_report
-            assert report is not None
-            down = set(session.unreachable_sites)
-            plan = session.network.fault_plan
-            if plan is not None:
-                down.update(plan.crashed_parties())
-            reachable = [s for s in session.index.sites if s not in down]
-            result = session.third_party.cluster_and_publish(
-                reachable,
-                session.config.num_clusters,
-                linkage,
-                attributes=list(report.completed_attributes),
-            )
-            for site in reachable:
-                received = session.holders[site].receive_result(session.tp_name)
-                if received.to_payload() != result.to_payload():
-                    raise ProtocolError(f"result received by {site!r} diverged")
-            session.network.drain()
-            return result
-        result = session.third_party.cluster_and_publish(
-            list(session.index.sites), session.config.num_clusters, linkage
-        )
-        for site in session.index.sites:
-            received = session.holders[site].receive_result(session.tp_name)
-            if received.to_payload() != result.to_payload():
-                raise ProtocolError(f"result received by {site!r} diverged")
-        session.network.assert_drained()
-        return result
+        return self._session.run()

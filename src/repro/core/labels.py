@@ -10,6 +10,8 @@ holders and the TP in exact agreement.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 
 def attribute_tag(spec) -> str:
     """Wire/accounting tag of one attribute's protocol traffic.
@@ -51,43 +53,47 @@ def alnum_jt(attribute: str, initiator: str, responder: str) -> str:
 DELTA_PARTS = ("grow", "base")
 
 
-def _delta_scope(epoch: int, part: str) -> str:
-    """Label suffix for one delta run.
+@dataclass(frozen=True)
+class RunScope:
+    """Names one run of a comparison protocol.
 
-    Position-independent by construction: the scope names the ingest
-    *epoch* (a monotone counter every party tracks) and the run *part*,
-    never global matrix positions -- so the protocol transcript for a
-    given pair's arrival batch is identical no matter how other sites'
-    growth shifted the global frame.  The epoch keeps mask streams unique
-    across a session's whole history (a site may shrink and regrow over
-    the same local id range; its runs still never share a stream).
+    ``RunScope()`` is the initial construction; ``RunScope(epoch, part)``
+    is one delta run, whose labels gain ``|delta{epoch}|{part}``.  The
+    suffix names the ingest *epoch* (a counter every party tracks) and the
+    run *part*, never global matrix positions, so a pair's transcript does
+    not depend on how other sites grew; the epoch keeps mask streams
+    unique over a session's history, even when a site shrinks and regrows
+    over the same local ids.
     """
-    if part not in DELTA_PARTS:
-        raise ValueError(f"unknown delta part {part!r}; available: {DELTA_PARTS}")
-    if epoch < 1:
-        raise ValueError(f"delta epoch must be >= 1, got {epoch}")
-    return f"delta{epoch}|{part}"
 
+    epoch: int = 0
+    part: str | None = None
 
-def numeric_jk_delta(
-    attribute: str, initiator: str, responder: str, epoch: int, part: str
-) -> str:
-    """``rng_JK`` for one numeric delta run."""
-    return f"{numeric_jk(attribute, initiator, responder)}|{_delta_scope(epoch, part)}"
+    def __post_init__(self) -> None:
+        if self.is_initial:
+            return
+        if self.part not in DELTA_PARTS:
+            raise ValueError(
+                f"unknown delta part {self.part!r}; available: {DELTA_PARTS}"
+            )
+        if self.epoch < 1:
+            raise ValueError(f"delta epoch must be >= 1, got {self.epoch}")
 
+    @property
+    def is_initial(self) -> bool:
+        return self.epoch == 0 and self.part is None
 
-def numeric_jt_delta(
-    attribute: str, initiator: str, responder: str, epoch: int, part: str
-) -> str:
-    """``rng_JT`` for one numeric delta run."""
-    return f"{numeric_jt(attribute, initiator, responder)}|{_delta_scope(epoch, part)}"
+    def label(self, base: str) -> str:
+        """The run's PRNG label for the initial run's ``base`` label."""
+        if self.is_initial:
+            return base
+        return f"{base}|delta{self.epoch}|{self.part}"
 
-
-def alnum_jt_delta(
-    attribute: str, initiator: str, responder: str, epoch: int, part: str
-) -> str:
-    """``rng_JT`` for one alphanumeric delta run."""
-    return f"{alnum_jt(attribute, initiator, responder)}|{_delta_scope(epoch, part)}"
+    def meta(self) -> dict[str, object]:
+        """Payload fields naming the run: none for the initial run."""
+        if self.is_initial:
+            return {}
+        return {"part": self.part, "epoch": self.epoch}
 
 
 def channel_key(party_a: str, party_b: str) -> str:

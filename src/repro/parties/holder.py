@@ -14,6 +14,7 @@ import numpy as np
 from repro.core import alphanumeric as alnum_protocol
 from repro.core import categorical as cat_protocol
 from repro.core import labels
+from repro.core.labels import RunScope
 from repro.core import numeric as num_protocol
 from repro.core.config import ProtocolSuiteConfig
 from repro.crypto.detenc import DeterministicEncryptor
@@ -22,7 +23,6 @@ from repro.crypto.prng import ReseedablePRNG
 from repro.data.matrix import AttributeSpec, DataMatrix
 from repro.distance.dissimilarity import DissimilarityMatrix, condensed_tail_indices
 from repro.distance.edit import pairwise_edit_distance_rows, pairwise_edit_distances
-from repro.distance.local import local_dissimilarity
 from repro.distance.numeric import FixedPointCodec
 from repro.exceptions import ProtocolError
 from repro.network.transport import Transport
@@ -35,42 +35,29 @@ from repro.types import AttributeType
 #: scalar Figure 12 loop bit for bit.
 _EXACT_LOCAL_BOUND = 1 << 51
 
-
-def _numeric_condensed(encoded: list[int], codec: FixedPointCodec) -> np.ndarray | None:
-    """Condensed ``|a - b|`` distances via broadcasting, or ``None`` when
-    magnitudes force the exact scalar fallback."""
-    try:
-        arr = np.asarray(encoded, dtype=np.int64)
-    except (OverflowError, TypeError, ValueError):
-        return None
-    if arr.size and int(np.abs(arr).max()) >= _EXACT_LOCAL_BOUND:
-        return None
-    i, j = np.tril_indices(arr.size, -1)
-    return codec.decode_distance_array(np.abs(arr[i] - arr[j]))
+#: Message kind and data field of the numeric initiator's masked input,
+#: by ``suite.batch_numeric``.
+_NUMERIC_INPUT = {True: ("masked_vector", "values"), False: ("masked_matrix", "rows")}
 
 
 def _numeric_condensed_tail(
     encoded: list[int], old_size: int, codec: FixedPointCodec
 ) -> np.ndarray:
-    """New condensed rows (``old_size`` onward) of the local matrix.
+    """Condensed rows ``old_size`` onward of the local ``|a - b|`` matrix
+    (the whole matrix from row 0).
 
-    Every entry is the exact ``|a - b|`` decode either way -- the int64
-    broadcast and the arbitrary-precision fallback emit bitwise the same
-    floats -- so the delta tail matches the corresponding segment of a
-    full :func:`_numeric_condensed` recomputation bit for bit.
+    Magnitudes the int64 broadcast cannot carry exactly fall back to
+    Python integers; both routes emit bitwise the same floats, so a delta
+    tail matches the corresponding segment of a full recomputation.
     """
     i, j = condensed_tail_indices(old_size, len(encoded))
     try:
         arr = np.asarray(encoded, dtype=np.int64)
     except (OverflowError, TypeError, ValueError):
         arr = None
-    if arr is not None and (
-        not arr.size or int(np.abs(arr).max()) < _EXACT_LOCAL_BOUND
-    ):
-        return codec.decode_distance_array(np.abs(arr[i] - arr[j]))
-    exact = np.empty(i.size, dtype=object)
-    exact[:] = [abs(int(encoded[a]) - int(encoded[b])) for a, b in zip(i, j)]
-    return codec.decode_distance_array(exact)
+    if arr is None or (arr.size and int(np.abs(arr).max()) >= _EXACT_LOCAL_BOUND):
+        arr = np.asarray(encoded, dtype=object)  # exact Python integers
+    return codec.decode_distance_array(np.abs(arr[i] - arr[j]))
 
 
 class DataHolder(Party):
@@ -110,23 +97,23 @@ class DataHolder(Party):
         cross-site entries follow the *identical* comparison function --
         the precondition for the paper's zero-accuracy-loss property.
         """
+        return DissimilarityMatrix(self.matrix.num_rows, self._local_tail(spec, 0))
+
+    def _local_tail(self, spec: AttributeSpec, old_size: int) -> np.ndarray:
+        """Condensed local rows ``old_size`` onward (all of them from 0)."""
         column = self._column(spec)
         if spec.attr_type is AttributeType.NUMERIC:
             codec = self._codec(spec)
-            encoded = codec.encode_column(column)
-            condensed = _numeric_condensed(encoded, codec)
-            if condensed is not None:
-                return DissimilarityMatrix(len(encoded), condensed)
-            return local_dissimilarity(
-                encoded, lambda a, b: codec.decode_distance(abs(a - b))
-            )
+            return _numeric_condensed_tail(codec.encode_column(column), old_size, codec)
         if spec.attr_type is AttributeType.ALPHANUMERIC:
-            return DissimilarityMatrix(
-                len(column), pairwise_edit_distances(column).astype(np.float64)
-            )
+            if old_size == 0:
+                distances = pairwise_edit_distances(column)
+            else:
+                distances = pairwise_edit_distance_rows(column, old_size)
+            return distances.astype(np.float64)
         raise ProtocolError(
             f"local matrices are not built for {spec.attr_type.value} attributes; "
-            "the third party constructs the categorical matrix globally"
+            "the third party builds the categorical matrix globally"
         )
 
     def send_local_matrix(self, tp_name: str, spec: AttributeSpec) -> None:
@@ -177,22 +164,12 @@ class DataHolder(Party):
         at O(added * size) cost -- the already-shipped triangle is never
         recomputed or resent.
         """
-        column = self._column(spec)
-        if not 0 <= old_size <= len(column):
+        size = self.matrix.num_rows
+        if not 0 <= old_size <= size:
             raise ProtocolError(
-                f"local delta old_size {old_size} out of range for "
-                f"{len(column)} objects"
+                f"local delta old_size {old_size} out of range for {size} objects"
             )
-        if spec.attr_type is AttributeType.NUMERIC:
-            codec = self._codec(spec)
-            tail = _numeric_condensed_tail(codec.encode_column(column), old_size, codec)
-        elif spec.attr_type is AttributeType.ALPHANUMERIC:
-            tail = pairwise_edit_distance_rows(column, old_size).astype(np.float64)
-        else:
-            raise ProtocolError(
-                f"local matrices are not built for {spec.attr_type.value} attributes; "
-                "the third party patches the categorical matrix globally"
-            )
+        tail = self._local_tail(spec, old_size)
         self.send(
             tp_name,
             kind="local_matrix_delta",
@@ -204,8 +181,18 @@ class DataHolder(Party):
             tag=self._tag(spec),
         )
 
-    def _delta_prng(self, peer: str, label: str):
-        return self.secret_with(peer).prng(label, self._suite.prng_kind)
+    # -- comparison protocol runs (Sections 4.1-4.2) ------------------------
+    #
+    # One body per role, over a run scope and this holder's rows in the
+    # run: ``RunScope()`` and all rows for the initial construction.
+
+    def numeric_initiate(
+        self, spec: AttributeSpec, responder: str, tp_name: str, responder_size: int
+    ) -> None:
+        """Act as DHJ for one (attribute, responder) pairing."""
+        self._numeric_initiate(
+            spec, responder, tp_name, RunScope(), slice(None), responder_size
+        )
 
     def numeric_initiate_delta(
         self,
@@ -217,50 +204,18 @@ class DataHolder(Party):
         own_range: tuple[int, int],
         responder_size: int,
     ) -> None:
-        """DHJ's step for one delta run: mask a sub-column only.
-
-        ``own_range`` selects the initiator rows the run covers (its
-        arrivals for ``"grow"``, its pre-existing records for
-        ``"base"``); the protocol itself is the unmodified Figure 4 over
-        that slice, under epoch-and-part-scoped generators.
-        """
-        suite = self._suite
-        rng_jk = self._delta_prng(
-            responder, labels.numeric_jk_delta(spec.name, self.name, responder, epoch, part)
+        """DHJ's step for one delta run over the ``own_range`` rows (its
+        arrivals for ``"grow"``, its pre-epoch base for ``"base"``)."""
+        self._numeric_initiate(
+            spec, responder, tp_name, RunScope(epoch, part), slice(*own_range),
+            responder_size,
         )
-        rng_jt = self._delta_prng(
-            tp_name, labels.numeric_jt_delta(spec.name, self.name, responder, epoch, part)
-        )
-        lo, hi = own_range
-        encoded = self._codec(spec).encode_column(self._column(spec)[lo:hi])
-        meta = {"attribute": spec.name, "part": part, "epoch": epoch}
-        if suite.batch_numeric:
-            masked = num_protocol.initiator_mask_batch(
-                encoded, rng_jk, rng_jt, suite.mask_bits
-            )
-            self.send(
-                responder,
-                kind="masked_vector",
-                payload={**meta, "values": masked},
-                tag=self._tag(spec),
-            )
-        else:
-            masked_matrix = num_protocol.initiator_mask_per_pair(
-                encoded, responder_size, rng_jk, rng_jt, suite.mask_bits
-            )
-            self.send(
-                responder,
-                kind="masked_matrix",
-                payload={**meta, "rows": masked_matrix},
-                tag=self._tag(spec),
-            )
 
-    def _check_delta_payload(self, payload, spec: AttributeSpec, part: str, epoch: int) -> None:
-        got = (payload.get("attribute"), payload.get("part"), payload.get("epoch"))
-        if got != (spec.name, part, epoch):
-            raise ProtocolError(
-                f"expected delta input for {(spec.name, part, epoch)}, got {got}"
-            )
+    def numeric_respond(
+        self, spec: AttributeSpec, initiator: str, tp_name: str
+    ) -> None:
+        """Act as DHK: consume the masked input, ship matrix ``s`` to TP."""
+        self._numeric_respond(spec, initiator, tp_name, RunScope(), slice(None))
 
     def numeric_respond_delta(
         self,
@@ -272,40 +227,13 @@ class DataHolder(Party):
         own_range: tuple[int, int],
     ) -> None:
         """DHK's step for one delta run over its scheduled sub-column."""
-        suite = self._suite
-        rng_jk = self._delta_prng(
-            initiator, labels.numeric_jk_delta(spec.name, initiator, self.name, epoch, part)
+        self._numeric_respond(
+            spec, initiator, tp_name, RunScope(epoch, part), slice(*own_range)
         )
-        lo, hi = own_range
-        encoded = self._codec(spec).encode_column(self._column(spec)[lo:hi])
-        if suite.batch_numeric:
-            message = self.receive(
-                kind="masked_vector", sender=initiator, tag=self._tag(spec)
-            )
-            self._check_delta_payload(message.payload, spec, part, epoch)
-            matrix = num_protocol.responder_matrix_batch(
-                encoded, message.payload["values"], rng_jk
-            )
-        else:
-            message = self.receive(
-                kind="masked_matrix", sender=initiator, tag=self._tag(spec)
-            )
-            self._check_delta_payload(message.payload, spec, part, epoch)
-            matrix = num_protocol.responder_matrix_per_pair(
-                encoded, message.payload["rows"], rng_jk
-            )
-        self.send(
-            tp_name,
-            kind="comparison_matrix",
-            payload={
-                "attribute": spec.name,
-                "initiator": initiator,
-                "part": part,
-                "epoch": epoch,
-                "matrix": matrix,
-            },
-            tag=self._tag(spec),
-        )
+
+    def alnum_initiate(self, spec: AttributeSpec, responder: str, tp_name: str) -> None:
+        """Act as DHJ: mask every string with the shared random vector."""
+        self._alnum_initiate(spec, responder, tp_name, RunScope(), slice(None))
 
     def alnum_initiate_delta(
         self,
@@ -317,31 +245,13 @@ class DataHolder(Party):
         own_range: tuple[int, int],
     ) -> None:
         """DHJ's delta step: mask only the run's sub-column of strings."""
-        assert spec.alphabet is not None
-        rng_jt = self._delta_prng(
-            tp_name, labels.alnum_jt_delta(spec.name, self.name, responder, epoch, part)
+        self._alnum_initiate(
+            spec, responder, tp_name, RunScope(epoch, part), slice(*own_range)
         )
-        lo, hi = own_range
-        strings = self._column(spec)[lo:hi]
-        if self._suite.fresh_string_masks:
-            masked = alnum_protocol.initiator_mask_strings_fresh(
-                strings, spec.alphabet, rng_jt
-            )
-        else:
-            masked = alnum_protocol.initiator_mask_strings(
-                strings, spec.alphabet, rng_jt
-            )
-        self.send(
-            responder,
-            kind="masked_strings",
-            payload={
-                "attribute": spec.name,
-                "part": part,
-                "epoch": epoch,
-                "strings": masked,
-            },
-            tag=self._tag(spec),
-        )
+
+    def alnum_respond(self, spec: AttributeSpec, initiator: str, tp_name: str) -> None:
+        """Act as DHK: build intermediary CCMs, ship them to TP."""
+        self._alnum_respond(spec, initiator, tp_name, RunScope(), slice(None))
 
     def alnum_respond_delta(
         self,
@@ -353,174 +263,141 @@ class DataHolder(Party):
         own_range: tuple[int, int],
     ) -> None:
         """DHK's delta step: intermediary CCMs for the scheduled slice."""
-        assert spec.alphabet is not None
-        message = self.receive(
-            kind="masked_strings", sender=initiator, tag=self._tag(spec)
-        )
-        self._check_delta_payload(message.payload, spec, part, epoch)
-        lo, hi = own_range
-        matrices = alnum_protocol.responder_ccm_matrices(
-            self._column(spec)[lo:hi], message.payload["strings"], spec.alphabet
-        )
-        self.send(
-            tp_name,
-            kind="ccm_matrices",
-            payload={
-                "attribute": spec.name,
-                "initiator": initiator,
-                "part": part,
-                "epoch": epoch,
-                "matrices": matrices,
-            },
-            tag=self._tag(spec),
+        self._alnum_respond(
+            spec, initiator, tp_name, RunScope(epoch, part), slice(*own_range)
         )
 
-    def send_categorical_delta(
-        self, spec: AttributeSpec, tp_name: str, old_size: int
-    ) -> None:
-        """Encrypt and ship only the arrivals' categorical values."""
-        if self._group_key is None:
+    def _run_prng(self, peer: str, scope: RunScope, base_label: str) -> ReseedablePRNG:
+        secret = self.secret_with(peer)
+        return secret.prng(scope.label(base_label), self._suite.prng_kind)
+
+    def _receive_run_input(
+        self, kind: str, field: str, spec: AttributeSpec, sender: str, scope: RunScope
+    ):
+        """One run's masked input, checked against the run before any compute.
+
+        The payload's (attribute, part, epoch) must name ``spec`` under
+        ``scope`` and its data ``field`` must be present.  The exception
+        text names fields and the lane, never a received value.
+        """
+        payload = self.receive(kind=kind, sender=sender, tag=self._tag(spec)).payload
+        if not isinstance(payload, dict) or field not in payload:
+            raise ProtocolError(f"{kind} from {sender!r} carries no {field!r}")
+        expected = {"attribute": spec.name, "part": None, "epoch": None, **scope.meta()}
+        wrong = [key for key, value in expected.items() if payload.get(key) != value]
+        if wrong:
             raise ProtocolError(
-                f"{self.name!r} has no categorical group key; run key distribution"
+                f"{kind} from {sender!r} does not match the run "
+                f"{tuple(expected.values())}: {wrong} differ"
             )
-        column = self._column(spec)
-        if not 0 <= old_size <= len(column):
-            raise ProtocolError(
-                f"categorical delta old_size {old_size} out of range for "
-                f"{len(column)} objects"
-            )
-        encryptor = DeterministicEncryptor(
-            self._group_key, digest_size=self._suite.categorical_digest_size
-        )
-        fresh = column[old_size:]
-        if spec.taxonomy is not None:
-            ciphertexts: list = spec.taxonomy.encrypt_column(encryptor, spec.name, fresh)
-        else:
-            ciphertexts = cat_protocol.holder_encrypt_column(encryptor, spec.name, fresh)
-        self.send(
-            tp_name,
-            kind="encrypted_column_delta",
-            payload={
-                "attribute": spec.name,
-                "old_size": old_size,
-                "ciphertexts": ciphertexts,
-            },
-            tag=self._tag(spec),
-        )
+        return payload[field]
 
-    # -- numeric protocol (Section 4.1) -------------------------------------
-
-    def numeric_initiate(
-        self, spec: AttributeSpec, responder: str, tp_name: str, responder_size: int
+    def _numeric_initiate(
+        self,
+        spec: AttributeSpec,
+        responder: str,
+        tp_name: str,
+        scope: RunScope,
+        rows: slice,
+        responder_size: int,
     ) -> None:
-        """Act as DHJ for one (attribute, responder) pairing."""
         suite = self._suite
-        rng_jk = self.secret_with(responder).prng(
-            labels.numeric_jk(spec.name, self.name, responder), suite.prng_kind
+        rng_jk = self._run_prng(
+            responder, scope, labels.numeric_jk(spec.name, self.name, responder)
         )
-        rng_jt = self.secret_with(tp_name).prng(
-            labels.numeric_jt(spec.name, self.name, responder), suite.prng_kind
+        rng_jt = self._run_prng(
+            tp_name, scope, labels.numeric_jt(spec.name, self.name, responder)
         )
-        encoded = self._codec(spec).encode_column(self._column(spec))
+        encoded = self._codec(spec).encode_column(self._column(spec)[rows])
+        kind, field = _NUMERIC_INPUT[suite.batch_numeric]
         if suite.batch_numeric:
             masked = num_protocol.initiator_mask_batch(
                 encoded, rng_jk, rng_jt, suite.mask_bits
             )
-            self.send(
-                responder,
-                kind="masked_vector",
-                payload={"attribute": spec.name, "values": masked},
-                tag=self._tag(spec),
-            )
         else:
-            masked_matrix = num_protocol.initiator_mask_per_pair(
+            masked = num_protocol.initiator_mask_per_pair(
                 encoded, responder_size, rng_jk, rng_jt, suite.mask_bits
             )
-            self.send(
-                responder,
-                kind="masked_matrix",
-                payload={"attribute": spec.name, "rows": masked_matrix},
-                tag=self._tag(spec),
-            )
-
-    def numeric_respond(
-        self, spec: AttributeSpec, initiator: str, tp_name: str
-    ) -> None:
-        """Act as DHK: consume the masked input, ship matrix ``s`` to TP."""
-        suite = self._suite
-        rng_jk = self.secret_with(initiator).prng(
-            labels.numeric_jk(spec.name, initiator, self.name), suite.prng_kind
+        self.send(
+            responder,
+            kind=kind,
+            payload={"attribute": spec.name, **scope.meta(), field: masked},
+            tag=self._tag(spec),
         )
-        encoded = self._codec(spec).encode_column(self._column(spec))
-        if suite.batch_numeric:
-            message = self.receive(
-                kind="masked_vector", sender=initiator, tag=self._tag(spec)
-            )
-            masked = message.payload["values"]
+
+    def _numeric_respond(
+        self,
+        spec: AttributeSpec,
+        initiator: str,
+        tp_name: str,
+        scope: RunScope,
+        rows: slice,
+    ) -> None:
+        batch = self._suite.batch_numeric
+        kind, field = _NUMERIC_INPUT[batch]
+        masked = self._receive_run_input(kind, field, spec, initiator, scope)
+        rng_jk = self._run_prng(
+            initiator, scope, labels.numeric_jk(spec.name, initiator, self.name)
+        )
+        encoded = self._codec(spec).encode_column(self._column(spec)[rows])
+        if batch:
             matrix = num_protocol.responder_matrix_batch(encoded, masked, rng_jk)
         else:
-            message = self.receive(
-                kind="masked_matrix", sender=initiator, tag=self._tag(spec)
-            )
-            matrix = num_protocol.responder_matrix_per_pair(
-                encoded, message.payload["rows"], rng_jk
-            )
-        # Bind the harmless scalar before raising: exception text must
-        # never interpolate the payload mapping itself.
-        attribute = message.payload["attribute"]
-        if attribute != spec.name:
-            raise ProtocolError(
-                f"expected masked input for {spec.name!r}, got {attribute!r}"
-            )
+            matrix = num_protocol.responder_matrix_per_pair(encoded, masked, rng_jk)
         self.send(
             tp_name,
             kind="comparison_matrix",
             payload={
                 "attribute": spec.name,
                 "initiator": initiator,
+                **scope.meta(),
                 "matrix": matrix,
             },
             tag=self._tag(spec),
         )
 
-    # -- alphanumeric protocol (Section 4.2) ----------------------------------
-
-    def alnum_initiate(
-        self, spec: AttributeSpec, responder: str, tp_name: str
+    def _alnum_initiate(
+        self,
+        spec: AttributeSpec,
+        responder: str,
+        tp_name: str,
+        scope: RunScope,
+        rows: slice,
     ) -> None:
-        """Act as DHJ: mask every string with the shared random vector."""
         assert spec.alphabet is not None
-        rng_jt = self.secret_with(tp_name).prng(
-            labels.alnum_jt(spec.name, self.name, responder), self._suite.prng_kind
+        rng_jt = self._run_prng(
+            tp_name, scope, labels.alnum_jt(spec.name, self.name, responder)
         )
+        strings = self._column(spec)[rows]
         if self._suite.fresh_string_masks:
             masked = alnum_protocol.initiator_mask_strings_fresh(
-                self._column(spec), spec.alphabet, rng_jt
+                strings, spec.alphabet, rng_jt
             )
         else:
             masked = alnum_protocol.initiator_mask_strings(
-                self._column(spec), spec.alphabet, rng_jt
+                strings, spec.alphabet, rng_jt
             )
         self.send(
             responder,
             kind="masked_strings",
-            payload={"attribute": spec.name, "strings": masked},
+            payload={"attribute": spec.name, **scope.meta(), "strings": masked},
             tag=self._tag(spec),
         )
 
-    def alnum_respond(self, spec: AttributeSpec, initiator: str, tp_name: str) -> None:
-        """Act as DHK: build intermediary CCMs, ship them to TP."""
+    def _alnum_respond(
+        self,
+        spec: AttributeSpec,
+        initiator: str,
+        tp_name: str,
+        scope: RunScope,
+        rows: slice,
+    ) -> None:
         assert spec.alphabet is not None
-        message = self.receive(
-            kind="masked_strings", sender=initiator, tag=self._tag(spec)
+        masked = self._receive_run_input(
+            "masked_strings", "strings", spec, initiator, scope
         )
-        attribute = message.payload["attribute"]
-        if attribute != spec.name:
-            raise ProtocolError(
-                f"expected masked strings for {spec.name!r}, got {attribute!r}"
-            )
         matrices = alnum_protocol.responder_ccm_matrices(
-            self._column(spec), message.payload["strings"], spec.alphabet
+            self._column(spec)[rows], masked, spec.alphabet
         )
         self.send(
             tp_name,
@@ -528,6 +405,7 @@ class DataHolder(Party):
             payload={
                 "attribute": spec.name,
                 "initiator": initiator,
+                **scope.meta(),
                 "matrices": matrices,
             },
             tag=self._tag(spec),
@@ -588,25 +466,44 @@ class DataHolder(Party):
         taxonomy-typed categoricals send the ciphertexts of every root
         path prefix (the hierarchical extension, O(n * depth)).
         """
+        self._send_categorical(spec, tp_name, None)
+
+    def send_categorical_delta(
+        self, spec: AttributeSpec, tp_name: str, old_size: int
+    ) -> None:
+        """Encrypt and ship only the arrivals' categorical values."""
+        self._send_categorical(spec, tp_name, old_size)
+
+    def _send_categorical(
+        self, spec: AttributeSpec, tp_name: str, old_size: int | None
+    ) -> None:
+        """Ship rows ``old_size`` onward, or the whole column when ``None``."""
         if self._group_key is None:
             raise ProtocolError(
                 f"{self.name!r} has no categorical group key; run key distribution"
             )
+        column = self._column(spec)
+        if old_size is not None and not 0 <= old_size <= len(column):
+            raise ProtocolError(
+                f"categorical delta old_size {old_size} out of range for "
+                f"{len(column)} objects"
+            )
         encryptor = DeterministicEncryptor(
             self._group_key, digest_size=self._suite.categorical_digest_size
         )
+        fresh = column if old_size is None else column[old_size:]
         if spec.taxonomy is not None:
-            ciphertexts: list = spec.taxonomy.encrypt_column(
-                encryptor, spec.name, self._column(spec)
-            )
+            ciphertexts: list = spec.taxonomy.encrypt_column(encryptor, spec.name, fresh)
         else:
-            ciphertexts = cat_protocol.holder_encrypt_column(
-                encryptor, spec.name, self._column(spec)
-            )
+            ciphertexts = cat_protocol.holder_encrypt_column(encryptor, spec.name, fresh)
+        if old_size is None:
+            kind, sizes = "encrypted_column", {}
+        else:
+            kind, sizes = "encrypted_column_delta", {"old_size": old_size}
         self.send(
             tp_name,
-            kind="encrypted_column",
-            payload={"attribute": spec.name, "ciphertexts": ciphertexts},
+            kind=kind,
+            payload={"attribute": spec.name, **sizes, "ciphertexts": ciphertexts},
             tag=self._tag(spec),
         )
 

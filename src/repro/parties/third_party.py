@@ -29,6 +29,7 @@ from repro.clustering.quality import average_square_distance
 from repro.core import alphanumeric as alnum_protocol
 from repro.core import categorical as cat_protocol
 from repro.core import labels
+from repro.core.labels import DELTA_PARTS, RunScope
 from repro.core import numeric as num_protocol
 from repro.core.config import ProtocolSuiteConfig
 from repro.core.results import ClusteringResult, result_from_labels
@@ -41,6 +42,13 @@ from repro.exceptions import ProtocolError
 from repro.network.transport import Transport
 from repro.parties.base import Party
 from repro.types import AttributeType, LinkageMethod
+
+
+#: Attribute type and data field of each comparison run's output message.
+_RUN_OUTPUTS = {
+    "comparison_matrix": (AttributeType.NUMERIC, "matrix"),
+    "ccm_matrices": (AttributeType.ALPHANUMERIC, "matrices"),
+}
 
 
 class ThirdParty(Party):
@@ -123,21 +131,77 @@ class ThirdParty(Party):
             self.index.offset_of(holder), local
         )
 
-    # -- numeric cross blocks (Figure 6) -------------------------------------------
+    # -- cross blocks (Figures 6 and 10) --------------------------------------------
+    #
+    # One absorb body per protocol, for the initial run and delta runs alike.
 
     def receive_numeric_block(self, responder: str, tag: str | None = None) -> None:
         """Unmask one comparison matrix into its off-diagonal block."""
-        message = self.receive(kind="comparison_matrix", sender=responder, tag=tag)
-        attribute = message.payload["attribute"]
-        initiator = message.payload["initiator"]
-        matrix = message.payload["matrix"]
+        self._absorb_numeric(responder, tag, delta=False)
+
+    def receive_alnum_block(self, responder: str, tag: str | None = None) -> None:
+        """Decode CCMs, run the edit-distance DP, place the block."""
+        self._absorb_alnum(responder, tag, delta=False)
+
+    def _receive_run_output(
+        self, kind: str, responder: str, tag: str | None, delta: bool
+    ):
+        """One comparison run's output: (spec, initiator, scope, data).
+
+        A delta payload's ``part`` and ``epoch`` must name a run of the
+        open epoch.  Exception texts name fields and the lane, never a
+        received value.
+        """
+        attr_type, data = _RUN_OUTPUTS[kind]
+        payload = self.receive(kind=kind, sender=responder, tag=tag).payload
+        fields = ("attribute", "initiator", *(("part", "epoch") if delta else ()), data)
+        if not isinstance(payload, dict) or any(key not in payload for key in fields):
+            raise ProtocolError(f"{kind} from {responder!r} lacks one of {fields}")
+        attribute = payload["attribute"]
         spec = self._spec(attribute)
-        if spec.attr_type is not AttributeType.NUMERIC:
+        if spec.attr_type is not attr_type:
             raise ProtocolError(
-                f"comparison matrix for non-numeric attribute {attribute!r}"
+                f"{kind} from {responder!r} names a non-{attr_type.value} attribute"
             )
+        if not delta:
+            return spec, payload["initiator"], RunScope(), payload[data]
+        plan, part = self._delta_plan, payload["part"]
+        if plan is None or plan.epoch != payload["epoch"] or part not in DELTA_PARTS:
+            raise ProtocolError(
+                f"{kind} from {responder!r} names no run of the open delta epoch "
+                f"{getattr(plan, 'epoch', None)}"
+            )
+        return spec, payload["initiator"], RunScope(plan.epoch, part), payload[data]
+
+    def _block_ranges(
+        self, initiator: str, responder: str, scope: RunScope
+    ) -> tuple[range, range]:
+        """Global (responder rows, initiator cols) of one run's block.
+
+        The initial run fills the pair's whole block.  In a delta run the
+        responder is always the grown site, contributing its arrival
+        rows; the initiator contributes its full column (``"grow"``) or
+        only its pre-epoch base (``"base"`` -- its own arrivals already
+        met the responder's in the pair's ``"grow"`` run).
+        """
+        if scope.is_initial:
+            return self.index.block(responder, initiator)
+        plan = self._delta_plan
+        grow_i = plan.site(initiator)
+        grow_r = plan.site(responder)
+        i_off = self.index.offset_of(initiator)
+        r_off = self.index.offset_of(responder)
+        rows = range(r_off + grow_r.old_size, r_off + grow_r.new_size)
+        width = grow_i.new_size if scope.part == "grow" else grow_i.old_size
+        return rows, range(i_off, i_off + width)
+
+    def _absorb_numeric(self, responder: str, tag: str | None, delta: bool) -> None:
+        spec, initiator, scope, matrix = self._receive_run_output(
+            "comparison_matrix", responder, tag, delta
+        )
         rng_jt = self.secret_with(initiator).prng(
-            labels.numeric_jt(attribute, initiator, responder), self._suite.prng_kind
+            scope.label(labels.numeric_jt(spec.name, initiator, responder)),
+            self._suite.prng_kind,
         )
         if self._suite.batch_numeric:
             encoded = num_protocol.third_party_unmask_batch(
@@ -149,23 +213,17 @@ class ThirdParty(Party):
             )
         codec = FixedPointCodec(spec.precision)
         block = codec.decode_distance_array(encoded)
-        rows, cols = self.index.block(responder, initiator)
-        self._matrix_for(attribute).set_block(list(rows), list(cols), block)
+        rows, cols = self._block_ranges(initiator, responder, scope)
+        self._matrix_for(spec.name).set_block(list(rows), list(cols), block)
 
-    # -- alphanumeric cross blocks (Figure 10) ---------------------------------------
-
-    def receive_alnum_block(self, responder: str, tag: str | None = None) -> None:
-        """Decode CCMs, run the edit-distance DP, place the block."""
-        message = self.receive(kind="ccm_matrices", sender=responder, tag=tag)
-        attribute = message.payload["attribute"]
-        initiator = message.payload["initiator"]
-        matrices = message.payload["matrices"]
-        spec = self._spec(attribute)
-        if spec.attr_type is not AttributeType.ALPHANUMERIC:
-            raise ProtocolError(f"CCMs for non-alphanumeric attribute {attribute!r}")
+    def _absorb_alnum(self, responder: str, tag: str | None, delta: bool) -> None:
+        spec, initiator, scope, matrices = self._receive_run_output(
+            "ccm_matrices", responder, tag, delta
+        )
         assert spec.alphabet is not None
         rng_jt = self.secret_with(initiator).prng(
-            labels.alnum_jt(attribute, initiator, responder), self._suite.prng_kind
+            scope.label(labels.alnum_jt(spec.name, initiator, responder)),
+            self._suite.prng_kind,
         )
         if self._suite.fresh_string_masks:
             distances = alnum_protocol.third_party_distances_fresh(
@@ -176,8 +234,8 @@ class ThirdParty(Party):
                 matrices, spec.alphabet, rng_jt
             )
         block = distances.astype(np.float64)
-        rows, cols = self.index.block(responder, initiator)
-        self._matrix_for(attribute).set_block(list(rows), list(cols), block)
+        rows, cols = self._block_ranges(initiator, responder, scope)
+        self._matrix_for(spec.name).set_block(list(rows), list(cols), block)
 
     # -- categorical (Section 4.3) -----------------------------------------------------
 
@@ -249,38 +307,6 @@ class ThirdParty(Party):
         """
         self._delta_plan = None
 
-    def _current_plan(self, epoch: int):
-        plan = self._delta_plan
-        if plan is None or plan.epoch != epoch:
-            raise ProtocolError(
-                f"no open delta epoch {epoch} "
-                f"(current: {getattr(plan, 'epoch', None)})"
-            )
-        return plan
-
-    def _delta_ranges(
-        self, initiator: str, responder: str, part: str, plan
-    ) -> tuple[range, range]:
-        """Global (responder rows, initiator cols) of one delta run's block.
-
-        The responder is always the grown site, contributing its arrival
-        rows; the initiator contributes its full column (``"grow"``) or
-        only its pre-epoch base (``"base"`` -- its own arrivals already
-        met the responder's in the pair's ``"grow"`` run).
-        """
-        grow_i = plan.site(initiator)
-        grow_r = plan.site(responder)
-        i_off = self.index.offset_of(initiator)
-        r_off = self.index.offset_of(responder)
-        rows = range(r_off + grow_r.old_size, r_off + grow_r.new_size)
-        if part == "grow":
-            cols = range(i_off, i_off + grow_i.new_size)
-        elif part == "base":
-            cols = range(i_off, i_off + grow_i.old_size)
-        else:
-            raise ProtocolError(f"unknown delta part {part!r}")
-        return rows, cols
-
     def receive_local_delta(self, holder: str, tag: str | None = None) -> None:
         """Patch one grown site's new local rows into its diagonal block."""
         message = self.receive(kind="local_matrix_delta", sender=holder, tag=tag)
@@ -300,62 +326,13 @@ class ThirdParty(Party):
         self, responder: str, tag: str | None = None
     ) -> None:
         """Unmask one delta comparison matrix into its scattered block."""
-        message = self.receive(kind="comparison_matrix", sender=responder, tag=tag)
-        attribute = message.payload["attribute"]
-        initiator = message.payload["initiator"]
-        part = message.payload["part"]
-        plan = self._current_plan(int(message.payload["epoch"]))
-        spec = self._spec(attribute)
-        if spec.attr_type is not AttributeType.NUMERIC:
-            raise ProtocolError(
-                f"comparison matrix for non-numeric attribute {attribute!r}"
-            )
-        rng_jt = self.secret_with(initiator).prng(
-            labels.numeric_jt_delta(attribute, initiator, responder, plan.epoch, part),
-            self._suite.prng_kind,
-        )
-        if self._suite.batch_numeric:
-            encoded = num_protocol.third_party_unmask_batch(
-                message.payload["matrix"], rng_jt, self._suite.mask_bits
-            )
-        else:
-            encoded = num_protocol.third_party_unmask_per_pair(
-                message.payload["matrix"], rng_jt, self._suite.mask_bits
-            )
-        codec = FixedPointCodec(spec.precision)
-        block = codec.decode_distance_array(encoded)
-        rows, cols = self._delta_ranges(initiator, responder, part, plan)
-        self._matrix_for(attribute).set_block(list(rows), list(cols), block)
+        self._absorb_numeric(responder, tag, delta=True)
 
     def receive_alnum_delta_block(
         self, responder: str, tag: str | None = None
     ) -> None:
         """Decode delta CCMs and place the scattered cross block."""
-        message = self.receive(kind="ccm_matrices", sender=responder, tag=tag)
-        attribute = message.payload["attribute"]
-        initiator = message.payload["initiator"]
-        part = message.payload["part"]
-        plan = self._current_plan(int(message.payload["epoch"]))
-        spec = self._spec(attribute)
-        if spec.attr_type is not AttributeType.ALPHANUMERIC:
-            raise ProtocolError(f"CCMs for non-alphanumeric attribute {attribute!r}")
-        assert spec.alphabet is not None
-        rng_jt = self.secret_with(initiator).prng(
-            labels.alnum_jt_delta(attribute, initiator, responder, plan.epoch, part),
-            self._suite.prng_kind,
-        )
-        if self._suite.fresh_string_masks:
-            distances = alnum_protocol.third_party_distances_fresh(
-                message.payload["matrices"], spec.alphabet, rng_jt
-            )
-        else:
-            distances = alnum_protocol.third_party_distances(
-                message.payload["matrices"], spec.alphabet, rng_jt
-            )
-        rows, cols = self._delta_ranges(initiator, responder, part, plan)
-        self._matrix_for(attribute).set_block(
-            list(rows), list(cols), distances.astype(np.float64)
-        )
+        self._absorb_alnum(responder, tag, delta=True)
 
     def receive_encrypted_delta(self, holder: str, tag: str | None = None) -> None:
         """Extend one site's stored ciphertext column with its arrivals."""

@@ -401,6 +401,32 @@ class TestDegradedConstruction:
         summary = session.degraded_report.summary()
         assert "num" in summary and "dna" in summary and "city" in summary
 
+    def test_degraded_ingest_records_a_site_whose_result_lane_dies(self):
+        """A service re-clusters exactly as a session publishes: after a
+        degraded delta, a holder whose result lane dies is recorded as
+        unreachable and the other holders still receive the result."""
+        suite = ProtocolSuiteConfig(tolerate_faults=True)
+        config = SessionConfig(num_clusters=2, master_seed=3, suite=suite)
+        service = ClusteringService(config, _partitions())
+        service.session.network.install_fault_plan(
+            FaultPlan(
+                seed=7,
+                rules=(
+                    FaultRule(
+                        sender="A", recipient="TP", kind="local_matrix_delta", drop=1.0
+                    ),
+                    FaultRule(sender="TP", recipient="C", kind="result", drop=1.0),
+                ),
+                fault_retransmits=True,
+            )
+        )
+        result = service.ingest(_arrivals())
+        report = service.session.degraded_report
+        assert report.failed_attributes == ("num", "dna")
+        assert report.completed_attributes == ("city",)
+        assert service.session.unreachable_sites == ["C"]
+        assert result.to_payload()
+
 
 # -- chaos preset environment hook -------------------------------------------
 

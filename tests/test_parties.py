@@ -198,6 +198,26 @@ class TestThirdParty:
         with pytest.raises(ProtocolError, match="non-numeric"):
             tp.receive_numeric_block("B")
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"epoch": 1},
+            {"part": "shrink", "epoch": 1},
+            {"part": "grow"},
+        ],
+    )
+    def test_delta_block_without_a_known_run_rejected(self, fields):
+        """A delta comparison matrix must name its run: a missing or
+        unknown ``part`` (or a missing ``epoch``) is a protocol error."""
+        network, holders, tp = _setup()
+        holders["B"].send(
+            "TP",
+            "comparison_matrix",
+            {"attribute": "v", "initiator": "A", **fields, "matrix": [[1]]},
+        )
+        with pytest.raises(ProtocolError):
+            tp.receive_numeric_delta_block("B")
+
     def test_encrypted_column_for_wrong_type_rejected(self):
         network, holders, tp = _setup()
         holders["A"].send(

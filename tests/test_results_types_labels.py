@@ -74,6 +74,37 @@ class TestLabelGrammar:
         }
         assert len(labels) == 5
 
+    def test_delta_scoped_labels_are_distinct(self):
+        """Every delta run label differs from every other one and from
+        the initial construction's: a scope that collided would reuse
+        the initial run's masks and void Section 4.1's argument."""
+        bases = [
+            grammar.numeric_jk("a", "X", "Y"),
+            grammar.numeric_jt("a", "X", "Y"),
+            grammar.alnum_jt("a", "X", "Y"),
+        ]
+        scopes = [grammar.RunScope()] + [
+            grammar.RunScope(epoch, part)
+            for epoch in (1, 2)
+            for part in grammar.DELTA_PARTS
+        ]
+        labels = [scope.label(base) for scope in scopes for base in bases]
+        assert len(set(labels)) == len(labels) == 15
+        assert [grammar.RunScope().label(base) for base in bases] == bases
+
+    def test_delta_scope_label_and_payload_fields(self):
+        scope = grammar.RunScope(3, "base")
+        assert scope.label("num-jk|a|X>Y") == "num-jk|a|X>Y|delta3|base"
+        assert scope.meta() == {"part": "base", "epoch": 3}
+        assert grammar.RunScope().meta() == {}
+
+    @pytest.mark.parametrize(
+        "epoch, part", [(0, "grow"), (-1, "base"), (1, "shrink"), (1, None)]
+    )
+    def test_invalid_delta_scope_raises(self, epoch, part):
+        with pytest.raises(ValueError):
+            grammar.RunScope(epoch, part)
+
 
 class TestCluster:
     def test_format_members_one_based(self):
