@@ -377,7 +377,11 @@ class SocketTransport(Transport):
                     writer, hs.dh_frame(self._local, self._dh.public_value)
                 )
                 await self._attach(peer, reader, writer, inbound_hello=None)
-            except (ChannelError, OSError, asyncio.IncompleteReadError):
+            except Exception:
+                # Whatever breaks one connection -- a refused handshake (a
+                # degenerate DH offer raises a CryptoError), a torn stream,
+                # a malformed frame -- must not end the redial loop.
+                # Cancellation is not an Exception and still ends it.
                 pass
             finally:
                 self._detach(peer, writer)
@@ -410,7 +414,8 @@ class SocketTransport(Transport):
                 writer, hs.dh_frame(self._local, self._dh.public_value)
             )
             await self._attach(peer, reader, writer, inbound_hello=hello)
-        except (ChannelError, OSError, asyncio.IncompleteReadError):
+        except Exception:
+            # Any failure ends this connection only; see _dial_loop.
             pass
         finally:
             if peer is not None:

@@ -32,7 +32,7 @@ from repro.exceptions import (
 )
 from repro.network.faults import FaultPlan, FaultRule
 from repro.network.retry import RetryPolicy
-from repro.network.serialization import serialize
+from repro.network.serialization import encode_frame, serialize
 from repro.network.simulator import Network
 from repro.network.tcp import DEAD, UP, SocketTransport, parse_address
 from repro.parties.runner import SessionLinkSecurity
@@ -383,6 +383,53 @@ class TestSocketTransport:
         finally:
             listener.join(timeout=25.0)
             _close_all(mesh)
+
+    def test_refused_dh_offer_does_not_end_the_dial_loop(self):
+        """A peer answering with a valid hello and a degenerate DH public
+        (1) breaks that connection, not the redial loop: once a real beta
+        listens on the same path, the mesh forms and carries a message."""
+        tmp = tempfile.mkdtemp()
+        addresses = {name: f"unix:{tmp}/{name}.sock" for name in ("alpha", "beta")}
+        path = f"{tmp}/beta.sock"
+
+        def build(name):
+            return SocketTransport(
+                name, addresses, SessionLinkSecurity(11, name), FINGERPRINT,
+                heartbeat_interval=0.05,
+            )
+
+        fake = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        fake.bind(path)
+        fake.listen(1)
+        fake.settimeout(10.0)
+        alpha = build("alpha")
+        dialer = threading.Thread(target=alpha.connect_all, args=(20.0,))
+        dialer.start()
+        beta = None
+        try:
+            conn, _ = fake.accept()
+            with conn:
+                conn.settimeout(5.0)
+                conn.sendall(
+                    encode_frame(hs.hello_frame("beta", 1, FINGERPRINT, 2, 0))
+                    + encode_frame(hs.dh_frame("beta", 1))
+                )
+                # Alpha refuses the offer and closes the connection.
+                while conn.recv(4096):
+                    pass
+            fake.close()
+            beta = build("beta")
+            beta.connect_all(10.0)
+            dialer.join(timeout=25.0)
+            alpha.send("alpha", "beta", "blob", {"v": 3}, tag="t")
+            message = beta.receive("beta", kind="blob", sender="alpha", tag="t")
+            assert message.payload == {"v": 3}
+        finally:
+            fake.close()
+            dialer.join(timeout=25.0)
+            alpha.close()
+            if beta is not None:
+                beta.close()
 
     def test_transient_disconnect_replays_unacked_frames(self):
         mesh = _mesh()
