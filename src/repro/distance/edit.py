@@ -202,7 +202,7 @@ def pairwise_edit_distance_rows(strings: Sequence[str], first_row: int) -> np.nd
                     np.not_equal.outer(codes[j], codes[i])
                     for _pos, i, j in part
                 ]
-            ).astype(np.int64)
+            )
             out[np.asarray([pos for pos, _i, _j in part])] = (
                 _dp_edit_distance_batch(stack)
             )
