@@ -54,9 +54,10 @@ def _numeric_condensed_tail(
     try:
         arr = np.asarray(encoded, dtype=np.int64)
     except (OverflowError, TypeError, ValueError):
-        arr = None
-    if arr is None or (arr.size and int(np.abs(arr).max()) >= _EXACT_LOCAL_BOUND):
         arr = np.asarray(encoded, dtype=object)  # exact Python integers
+    # Max and min, not abs: abs(-2**63) wraps to a negative int64.
+    if arr.size and max(int(arr.max()), -int(arr.min())) >= _EXACT_LOCAL_BOUND:
+        arr = arr.astype(object)
     return codec.decode_distance_array(np.abs(arr[i] - arr[j]))
 
 

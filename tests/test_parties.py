@@ -88,6 +88,7 @@ class TestDataHolder:
         "precision, column",
         [
             (0, [2**51, -(2**52) + 7, 12345, 2**62 + 1, 3 * 2**51]),
+            (0, [-(2**63), 0, 5]),
             (6, [5_000_000_000.123456, -4_000_000_000.5, 7, 2**40, 0.000001]),
         ],
     )
