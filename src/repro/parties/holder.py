@@ -107,11 +107,10 @@ class DataHolder(Party):
             codec = self._codec(spec)
             return _numeric_condensed_tail(codec.encode_column(column), old_size, codec)
         if spec.attr_type is AttributeType.ALPHANUMERIC:
+            # Whole triangle or tail: the e2e tracer wraps both bindings.
             if old_size == 0:
-                distances = pairwise_edit_distances(column)
-            else:
-                distances = pairwise_edit_distance_rows(column, old_size)
-            return distances.astype(np.float64)
+                return pairwise_edit_distances(column).astype(np.float64)
+            return pairwise_edit_distance_rows(column, old_size).astype(np.float64)
         raise ProtocolError(
             f"local matrices are not built for {spec.attr_type.value} attributes; "
             "the third party builds the categorical matrix globally"

@@ -5,7 +5,9 @@ what they cannot catch is *transport-layer drift* -- a serialization
 tweak, an extra frame, a changed sealing overhead -- that shifts real
 wire bytes while every analytic count stays put.  This module pins the
 per-link transcript of one fixed sealed session (message kinds, order,
-and exact per-frame wire bytes) as golden data.
+and exact per-frame wire bytes) as golden data, and the content of every
+frame as one digest per link -- for that session and for one
+incremental ingest and one retirement after it.
 
 Everything here is deterministic in ``master_seed``: if an intentional
 transport change moves these numbers, regenerate the constants with the
