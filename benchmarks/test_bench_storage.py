@@ -46,11 +46,13 @@ def rss_cap_mb(scenario: str, n: int) -> float:
     *well below* the triangle: the block cache plus panel scratch (a
     single-block store -- n <= 2048 at the default block size -- runs
     PAM's square evaluator instead, a few blocks of memory, which the
-    cache term covers).  Agglomerative keeps its working
-    triangle cache-resident by design (refaulting the working set every
-    merge is pathological), so its honest cap is ~1.5x the triangle --
-    the win over dense is the absent second square materialisation, not
-    the working set itself.
+    cache term covers).  Agglomerative keeps one working copy of the
+    triangle resident by design (refaulting the working set every merge
+    is pathological): a single memmap block with a cache that holds it,
+    beside the source's own block cache.  Its tie check runs before
+    that copy exists and its replay refills it, so its honest cap is
+    ~1.5x the triangle -- the win over dense is the absent second square
+    materialisation, not the working set itself.
     """
     triangle = _triangle_mb(n)
     if scenario == "pam":

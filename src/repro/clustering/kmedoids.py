@@ -294,16 +294,19 @@ def k_medoids(
     if not 1 <= k <= n:
         raise ClusteringError(f"k must be in [1, {n}], got {k}")
     store = matrix.store
-    if store.size <= store.block_entries:
+    if store.size <= store.block_entries or n <= _CANDIDATE_BLOCK:
         # A single-block store is read whole anyway, so its square costs
-        # a few blocks of memory at most -- and the square evaluator runs
-        # about twice as fast as streamed panels.
+        # a few blocks of memory at most; and up to one candidate block,
+        # the panel path's first row panel already is the whole square.
+        # The square evaluator reads it once and runs about twice as
+        # fast as streamed panels, with the same bits.
         square: np.ndarray | None = matrix.to_square()
         source: _StorePanels | None = None
         medoids = _build_init(square, k)
     else:
-        # Several blocks: stream panels, never materialise the square --
-        # peak memory is O(n * _CANDIDATE_BLOCK) plus the store's cache.
+        # Several blocks and several candidate blocks: stream panels,
+        # never materialise the square -- peak memory is
+        # O(n * _CANDIDATE_BLOCK) plus the store's cache.
         square = None
         source = _StorePanels(matrix)
         medoids = _store_build_init(source, k)

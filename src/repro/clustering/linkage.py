@@ -43,9 +43,10 @@ NN-chain discovers merges out of height order, and its intermediate
 Lance-Williams evaluations associate floats in discovery order, so a
 canonicalization pass finishes the job: order the discovered merges by
 the seed's argmin key (heap-Kahn over the cluster-dependency partial
-order), then *replay* them on a fresh condensed copy so every update is
-evaluated in the seed's association order.  The emitted dendrogram is
-merge-for-merge identical to the seed's -- bit-equal heights included
+order), then *replay* them on the working copy refilled from the source,
+so every update is evaluated in the seed's association order.  The
+emitted dendrogram is merge-for-merge identical to the seed's --
+bit-equal heights included
 (``tests/test_clustering_equivalence.py`` holds the layer to that; the
 one reservation is adversarial inputs whose *distinct* distances
 collide bitwise only after repeated update arithmetic, which no
@@ -73,8 +74,10 @@ from repro.types import LinkageMethod
 class _Workspace:
     """Condensed working state plus reusable buffers for the hot loops.
 
-    The working state is a :class:`~repro.distance.store.CondensedStore`
-    copy the workspace owns.  Rows are read as a contiguous
+    The working state is a one-block
+    :class:`~repro.distance.store.CondensedStore` copy of the source the
+    workspace owns (see :func:`_spawn_working`); :meth:`reset` refills it
+    for the NN-chain replay.  Rows are read as a contiguous
     below-diagonal slice plus one strided above-diagonal gather, and
     merge updates are written back the same way *unmasked*: retired
     pairs' condensed slots receive stale garbage, which is safe because
@@ -83,19 +86,41 @@ class _Workspace:
     gathered float64 rows, so it is the same on every backend.
     """
 
-    def __init__(self, working: CondensedStore, n: int) -> None:
+    def __init__(
+        self, source: CondensedStore, n: int, method: LinkageMethod
+    ) -> None:
         self.n = n
         self.offsets = condensed_offsets(n)
-        self.working = working
-        self.active = np.ones(n, dtype=bool)
-        self.sizes = np.ones(n, dtype=np.int64)
+        self.method = method
+        self._source = source
+        self.working = _spawn_working(source)
+        self.active = np.empty(n, dtype=bool)
+        self.sizes = np.empty(n, dtype=np.int64)
         # inf where retired, 0.0 where active: adding it to a gathered row
         # masks retired slots without allocating a boolean inverse.
-        self.inactive_inf = np.zeros(n, dtype=np.float64)
+        self.inactive_inf = np.empty(n, dtype=np.float64)
         self._row_i = np.empty(n, dtype=np.float64)
         self._row_j = np.empty(n, dtype=np.float64)
         self._delta = np.empty(n, dtype=np.float64)
         self._tail = np.empty(n, dtype=np.int64)
+        self.reset()
+
+    def reset(self) -> None:
+        """Back to the source's values (squared for Ward), every slot an
+        active singleton -- the state before any merge.
+
+        The copy goes one source block at a time, in steps of at most
+        :data:`_FILL_ENTRIES`: never one whole-triangle read."""
+        source = self._source
+        for start, stop in source.block_ranges():
+            for step in range(start, stop, _FILL_ENTRIES):
+                values = source.read(step, min(stop, step + _FILL_ENTRIES))
+                if self.method is LinkageMethod.WARD:
+                    values = np.square(values)
+                self.working.write(step, values)
+        self.active[:] = True
+        self.sizes[:] = 1
+        self.inactive_inf[:] = 0.0
 
     def _tail_positions(self, index: int) -> np.ndarray:
         tail = self._tail[: self.n - index - 1]
@@ -113,7 +138,7 @@ class _Workspace:
             self.working, index, self.n, self.offsets, out=out, scratch=self._tail
         )
 
-    def merge(self, i: int, j: int, method: LinkageMethod) -> float:
+    def merge(self, i: int, j: int) -> float:
         """Merge slot ``j`` into slot ``i`` (``i < j``) in place.
 
         One Lance-Williams row update against every other cluster,
@@ -122,6 +147,7 @@ class _Workspace:
         seed run performing the same merges in the same order.  Returns
         the raw merge height (squared scale for Ward).
         """
+        method = self.method
         sizes = self.sizes
         d_ik = self.gather_row(i, self._row_i)
         d_jk = self.gather_row(j, self._row_j)
@@ -167,9 +193,7 @@ class _Workspace:
         return height
 
 
-def _nn_chain_pairs(
-    workspace: _Workspace, method: LinkageMethod
-) -> list[tuple[int, int, float]]:
+def _nn_chain_pairs(workspace: _Workspace) -> list[tuple[int, int, float]]:
     """NN-chain discovery pass, mutating the workspace in place.
 
     Returns the discovered merges in chronological order as
@@ -210,15 +234,13 @@ def _nn_chain_pairs(
         chain.pop()
         chain.pop()
         i, j = (x, y) if x < y else (y, x)
-        height = workspace.merge(i, j, method)
+        height = workspace.merge(i, j)
         merges.append((i, j, height))
 
     return merges
 
 
-def _argmin_pairs(
-    workspace: _Workspace, method: LinkageMethod
-) -> list[tuple[int, int, float]]:
+def _argmin_pairs(workspace: _Workspace) -> list[tuple[int, int, float]]:
     """Exact seed-order discovery: global argmin with per-row NN caches.
 
     ``nn_distance[i]`` / ``nn_partner[i]`` cache the smallest distance
@@ -255,7 +277,7 @@ def _argmin_pairs(
     for _ in range(n - 1):
         i = int(np.argmin(nn_distance))
         j = int(nn_partner[i])
-        height = workspace.merge(i, j, method)
+        height = workspace.merge(i, j)
         merges.append((i, j, height))
         nn_distance[j] = np.inf
         nn_partner[j] = -1
@@ -328,41 +350,39 @@ def _canonical_order(
 
 
 def _replay(
-    workspace: _Workspace,
-    method: LinkageMethod,
-    ordered_pairs: list[tuple[int, int]],
+    workspace: _Workspace, ordered_pairs: list[tuple[int, int]]
 ) -> list[tuple[int, int, float]]:
-    """Re-apply ordered merges on a fresh workspace.
+    """Re-apply ordered merges on a reset workspace.
 
     The replay exists for bit-equality: Lance-Williams updates associate
     floats in evaluation order, so heights must be produced by applying
     the merges in their final (canonical) order -- exactly what the seed
     loop does -- not in NN-chain discovery order.
     """
-    return [
-        (i, j, workspace.merge(i, j, method)) for i, j in ordered_pairs
-    ]
+    workspace.reset()
+    return [(i, j, workspace.merge(i, j)) for i, j in ordered_pairs]
 
 
-def _spawn_working(
-    source: CondensedStore, method: LinkageMethod
-) -> CondensedStore:
-    """Pristine working copy of a condensed vector (squared for Ward).
+#: Entries per fill step: bounds Ward's squared temporary when the
+#: source is one large in-memory block.
+_FILL_ENTRIES = 1 << 20
 
-    The working store gets a cache budget covering every block: the merge
-    loop revisits all rows constantly, and an undersized cache would turn
-    each row gather into a munmap/remap refault storm.  Peak RSS for the
-    sharded linkage path is therefore ~one condensed triangle (plus O(n)
-    buffers) -- half the square-matrix footprint, and the source matrix's
-    own cache budget still holds for every other consumer.
+
+def _spawn_working(source: CondensedStore) -> CondensedStore:
+    """An empty working store for a copy of ``source``: one block on the
+    source's backend, with a cache that holds it.
+
+    The merge loop revisits every row constantly, so the working copy is
+    kept wholly resident by design (an undersized cache would turn each
+    row gather into a munmap/remap refault storm).  Blocks would then buy
+    nothing, and as one block every row gather and merge scatter is one
+    numpy call.  Peak RSS for the linkage path is therefore ~one
+    condensed triangle (plus O(n) buffers) beyond the source's own cache
+    -- half the square-matrix footprint.  On the memmap backend the copy
+    stays a file-backed shard rather than anonymous memory.
     """
-
-    def fill(start: int, stop: int) -> np.ndarray:
-        block = source.read(start, stop)
-        return block ** 2 if method is LinkageMethod.WARD else block.copy()
-
-    return source.spawn_filled(
-        source.size, fill, cache_bytes=source.size * 8 + source.block_entries * 8
+    return source.spawn(
+        source.size, block_entries=source.size, cache_bytes=8 * source.size
     )
 
 
@@ -414,22 +434,19 @@ def agglomerative(
     if n == 1:
         return Dendrogram(1, [])
 
-    ready = [_spawn_working(matrix.store, method)]
-    has_ties = condensed_has_duplicates(ready[0])
-
-    def make() -> _Workspace:
-        working = ready.pop() if ready else _spawn_working(matrix.store, method)
-        return _Workspace(working, n)
-
-    if has_ties:
-        workspace = make()
-        chronological = _argmin_pairs(workspace, method)
-        workspace.close()
-    else:
-        workspace = make()
-        discovered = _nn_chain_pairs(workspace, method)
-        workspace.close()
-        workspace = make()
-        chronological = _replay(workspace, method, _canonical_order(discovered))
+    # The tie check reads the source (squared for Ward, as the merges
+    # will see it) before the working copy exists, so its sort buffer
+    # never sits beside a live working triangle.
+    has_ties = condensed_has_duplicates(
+        matrix.store, squared=method is LinkageMethod.WARD
+    )
+    workspace = _Workspace(matrix.store, n, method)
+    try:
+        if has_ties:
+            chronological = _argmin_pairs(workspace)
+        else:
+            discovered = _nn_chain_pairs(workspace)
+            chronological = _replay(workspace, _canonical_order(discovered))
+    finally:
         workspace.close()
     return Dendrogram(n, _emit(chronological, n, method))

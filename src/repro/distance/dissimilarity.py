@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -200,63 +200,79 @@ def condensed_argmin(
     return int(rows[best]), int(cols[best])
 
 
-#: Byte budget for one hash-partition group of the streamed duplicate
-#: scan (the tie detector's transient working set).
+#: Byte budget for the duplicate scan's transient working set (the tie
+#: detector's sort buffer plus its read and hash temporaries).
 _DUPLICATE_SCAN_BYTES = 512 << 20
 #: Odd 64-bit multiplier spreading IEEE bit patterns across groups.
 _DUPLICATE_HASH = np.uint64(0x9E3779B97F4A7C15)
 
 
 def condensed_has_duplicates(
-    values: np.ndarray | CondensedStore, budget_bytes: int = _DUPLICATE_SCAN_BYTES
+    values: np.ndarray | CondensedStore,
+    budget_bytes: int = _DUPLICATE_SCAN_BYTES,
+    squared: bool = False,
 ) -> bool:
-    """Whether any two condensed entries hold the same value.
+    """Whether any two condensed entries hold the same value (the same
+    square, with ``squared``).
 
-    Each block is sorted and adjacent-compared once; for a single-block
-    store that is the whole answer.  Across several blocks the same
-    *boolean* is computed without materialising the vector: values are
-    partitioned by a hash of their (zero-canonicalised) IEEE bit pattern
-    into groups sized to ``budget_bytes`` and each group is sorted
-    separately -- identical values share a bit pattern, hence a group,
-    so no duplicate can hide across groups.  The linkage layer's tie
-    check uses this, keeping NN-chain vs cached-argmin path selection
-    identical across backends.
+    Exact whatever the block layout, in temporary memory bounded by
+    ``budget_bytes`` whatever the block size.  A vector whose copy fits
+    half the budget is copied whole, sorted and adjacent-compared.  A
+    larger one is partitioned by a hash of each value's
+    (zero-canonicalised) IEEE bit pattern into groups of about half the
+    budget, each sorted on its own: identical values share a bit
+    pattern, hence a group, so no duplicate can hide across groups or
+    blocks.  The vector is read, and each sorted group compared, in
+    spans of a small fraction of the budget, so one large block never
+    lifts the bound.  The linkage layer's tie check uses this, keeping
+    NN-chain vs cached-argmin path selection identical across backends.
     """
     store = _as_store(values)
     size = store.size
     if size < 2:
         return False
-    if size <= store.block_entries:
-        groups = 1
+    groups = -(-(2 * 8 * size) // budget_bytes)
+    span = max(1, budget_bytes // 1024)
+
+    def spans() -> Iterator[np.ndarray]:
+        for start in range(0, size, span):
+            chunk = store.read(start, min(size, start + span))
+            yield np.square(chunk) if squared else chunk
+
+    def group_of(chunk: np.ndarray) -> np.ndarray:
+        # ``+ 0.0`` canonicalises -0.0 to +0.0 (equal values, distinct
+        # bit patterns).  The hash is the product's top bits, which
+        # depend on every bit of the pattern: values whose patterns end
+        # in zeros (small integers, short binary fractions) still spread.
+        mixed = ((chunk + 0.0).view(np.uint64) * _DUPLICATE_HASH) >> np.uint64(32)
+        return (mixed * np.uint64(groups)) >> np.uint64(32)
+
+    if groups == 1:
+        counts = np.array([size])
     else:
-        groups = max(1, -(-(size * 8) // budget_bytes))
-    for group in range(groups):
-        parts = []
-        for start, stop in store.block_ranges():
-            block = store.read(start, stop)
-            if group == 0:
-                # Local duplicates resolve without any partitioning work.
-                local = np.sort(block)
-                if np.any(local[1:] == local[:-1]):
-                    return True
-                if groups == 1:
-                    continue
-            # Canonicalise -0.0 to +0.0: equal values, distinct patterns.
-            block = block + 0.0
-            bits = block.view(np.uint64)
-            mask = (bits * _DUPLICATE_HASH) % np.uint64(groups) == np.uint64(group)
-            part = block[mask]
-            if part.size:
-                parts.append(part)
-        if groups == 1:
-            return False
-        if not parts:
-            continue
-        merged = np.concatenate(parts)
+        counts = np.zeros(groups, dtype=np.int64)
+        for chunk in spans():
+            # A value repeated often enough to swamp one group repeats
+            # within some span, so the group sizes below stay bounded.
+            local = np.sort(chunk)
+            if np.any(local[1:] == local[:-1]):
+                return True
+            counts += np.bincount(group_of(chunk).astype(np.intp), minlength=groups)
+
+    def group_has_duplicates(group: int) -> bool:
+        merged = np.empty(int(counts[group]), dtype=np.float64)
+        filled = 0
+        for chunk in spans():
+            if groups > 1:
+                chunk = chunk[group_of(chunk) == np.uint64(group)]
+            merged[filled : filled + chunk.size] = chunk
+            filled += chunk.size
         merged.sort()
-        if np.any(merged[1:] == merged[:-1]):
-            return True
-    return False
+        windows = (merged[at : at + span + 1] for at in range(0, merged.size - 1, span))
+        return any(np.any(window[1:] == window[:-1]) for window in windows)
+
+    # One group's buffer at a time: each is freed before the next.
+    return any(group_has_duplicates(group) for group in range(groups))
 
 
 def condensed_pair_indices(num_objects: int) -> tuple[np.ndarray, np.ndarray]:

@@ -218,17 +218,14 @@ class CondensedStore(ABC):
         """
 
     def spawn_filled(
-        self,
-        size: int,
-        fill: Callable[[int, int], np.ndarray],
-        cache_bytes: int | None = None,
+        self, size: int, fill: Callable[[int, int], np.ndarray]
     ) -> "CondensedStore":
         """Sibling store whose span ``[start, stop)`` holds ``fill(start, stop)``.
 
         ``fill`` runs once per block of the new store, in order, and must
         return a fresh writable float64 array that the store may keep.
         """
-        fresh = self.spawn(size, cache_bytes=cache_bytes)
+        fresh = self.spawn(size)
         for start, stop in fresh.block_ranges():
             fresh.write(start, fill(start, stop))
         return fresh
@@ -295,10 +292,7 @@ class InMemoryStore(CondensedStore):
         return InMemoryStore(np.zeros(size, dtype=np.float64))
 
     def spawn_filled(
-        self,
-        size: int,
-        fill: Callable[[int, int], np.ndarray],
-        cache_bytes: int | None = None,
+        self, size: int, fill: Callable[[int, int], np.ndarray]
     ) -> "InMemoryStore":
         # One block: keep fill's array rather than copy it into zeros.
         return InMemoryStore(fill(0, size))
@@ -311,11 +305,16 @@ def _cleanup_shards(
     owns_directory: bool,
 ) -> None:
     """GC/close hook for :class:`MemmapStore` (no ``self``: a bound
-    method inside ``weakref.finalize`` would keep the store alive)."""
-    for block in list(dirty):
-        mapped = cache.get(block)
-        if mapped is not None:
-            mapped.flush()
+    method inside ``weakref.finalize`` would keep the store alive).
+
+    Only a borrowed directory outlives the store, so only its dirty
+    blocks are flushed: an owned directory is deleted next, and syncing
+    its shards would write bytes nothing can read."""
+    if not owns_directory:
+        for block in list(dirty):
+            mapped = cache.get(block)
+            if mapped is not None:
+                mapped.flush()
     dirty.clear()
     cache.clear()
     if owns_directory:
@@ -337,12 +336,15 @@ class MemmapStore(CondensedStore):
     mapping (munmap), which is what bounds RSS; clean evictions just
     unmap.  Data remains coherent across evict/reopen within a machine
     regardless of :meth:`flush` (shared file mappings), while
-    :meth:`flush` additionally makes it crash-durable -- the service
-    checkpoint path calls it before declaring a snapshot taken.
+    :meth:`flush` additionally makes it crash-durable.
 
     Stores created here own their shard directory and delete it on
-    :meth:`close` (or garbage collection); stores from :meth:`open`
-    borrow the directory and leave it in place.
+    :meth:`close` (or garbage collection) without flushing it; stores
+    from :meth:`open` borrow the directory, flush their dirty blocks on
+    close and leave it in place.
+
+    A store of one block (``size <= block_entries``) gathers and
+    scatters with one numpy call on its one mapping.
     """
 
     kind = "memmap"
@@ -549,10 +551,14 @@ class MemmapStore(CondensedStore):
         positions = np.asarray(positions, dtype=np.int64)
         if out is None:
             out = np.empty(positions.shape, dtype=np.float64)
+        if positions.size == 0:
+            return out
+        if self._size <= self._block_entries:
+            with self._lock:
+                np.take(self._block_locked(0), positions, out=out)
+            return out
         flat_out = out.reshape(-1)
         flat_pos = positions.reshape(-1)
-        if flat_pos.size == 0:
-            return out
         with self._lock:
             blocks, starts, stops, order = self._segments(flat_pos)
             sorted_pos = flat_pos if order is None else flat_pos[order]
@@ -577,6 +583,11 @@ class MemmapStore(CondensedStore):
                 f"scatter got {positions.size} positions for {values.size} values"
             )
         if positions.size == 0:
+            return
+        if self._size <= self._block_entries:
+            with self._lock:
+                self._block_locked(0)[positions] = values
+                self._dirty.add(0)
             return
         with self._lock:
             blocks, starts, stops, order = self._segments(positions)
@@ -612,7 +623,8 @@ class MemmapStore(CondensedStore):
             self._dirty.clear()
 
     def close(self) -> None:
-        """Flush, unmap everything, and (if owned) remove the shards."""
+        """Unmap everything, and remove the shards if owned (flushing
+        them first if borrowed)."""
         self._finalizer()
 
 

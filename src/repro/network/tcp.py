@@ -354,41 +354,51 @@ class SocketTransport(Transport):
         return await asyncio.open_connection(host, port)
 
     async def _dial_loop(self, peer: _Peer) -> None:
+        # A failed attempt is a refused dial or a connection that ended
+        # before its handshake completed: both back off and spend the
+        # reconnect budget, so a peer that accepts and then refuses every
+        # handshake is declared dead instead of redialed at once forever.
+        # Only a completed handshake resets the count.
         attempt = 0
         while not self._closing:
-            try:
-                reader, writer = await self._open_stream(peer.address)
-            except OSError:
+            if await self._dial_once(peer):
+                attempt = 0
+            else:
                 attempt += 1
                 if attempt >= self._reconnect.max_attempts:
                     self._mark_dead(peer, "reconnect budget exhausted")
                     return
-                with self._cond:
-                    if peer.status == DEAD:
-                        return
-                    if peer.status not in (CONNECTING, RECONNECTING):
-                        self._set_status_locked(peer, RECONNECTING)
-                await asyncio.sleep(self._reconnect.backoff_delay(attempt))
-                continue
-            attempt = 0
-            try:
-                await self._send_control(writer, self._hello_payload())
-                await self._send_control(
-                    writer, hs.dh_frame(self._local, self._dh.public_value)
-                )
-                await self._attach(peer, reader, writer, inbound_hello=None)
-            except Exception:
-                # Whatever breaks one connection -- a refused handshake (a
-                # degenerate DH offer raises a CryptoError), a torn stream,
-                # a malformed frame -- must not end the redial loop.
-                # Cancellation is not an Exception and still ends it.
-                pass
-            finally:
-                self._detach(peer, writer)
             with self._cond:
                 if peer.status == DEAD or self._closing:
                     return
-                self._set_status_locked(peer, RECONNECTING)
+                if peer.status not in (CONNECTING, RECONNECTING):
+                    self._set_status_locked(peer, RECONNECTING)
+            if attempt:
+                await asyncio.sleep(self._reconnect.backoff_delay(attempt))
+
+    async def _dial_once(self, peer: _Peer) -> bool:
+        """Dial ``peer`` and run the connection until it breaks; whether
+        its handshake completed."""
+        try:
+            reader, writer = await self._open_stream(peer.address)
+        except OSError:
+            return False
+        try:
+            await self._send_control(writer, self._hello_payload())
+            await self._send_control(
+                writer, hs.dh_frame(self._local, self._dh.public_value)
+            )
+            await self._attach(peer, reader, writer, inbound_hello=None)
+        except Exception:
+            # Whatever breaks one connection -- a refused handshake (a
+            # degenerate DH offer raises a CryptoError), a torn stream,
+            # a malformed frame -- must not end the redial loop.
+            # Cancellation is not an Exception and still ends it.
+            pass
+        finally:
+            handshaken = peer.writer is writer and peer.handshaken
+            self._detach(peer, writer)
+        return handshaken
 
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter

@@ -8,17 +8,20 @@ be the other's reference: the harness computes every expected result
 with plain numpy expressions on a square matrix (the oracle below) and
 holds each backend to it exactly -- which also makes ``memory`` and
 ``memmap`` bit-identical to each other.  PAM's square evaluator (one
-block) and its panel evaluator (several) are both held to the seed
-PAM and to each other.  A Hypothesis property drives
-random operation *sequences* through the oracle and both backends, so
-cross-operation interactions (grow, shrink, overwrite, rescale) are
-covered, not just single calls.  Matrices of one and two objects put
-one-block stores of size 0 and 1 through every primitive.
+block, or one candidate block of objects) and its panel evaluator
+(several of both) are held to the seed PAM and to each other.  The
+linkage tie check is held exact on ties planted across blocks.  A
+Hypothesis property drives random operation *sequences* through the
+oracle and both backends, so cross-operation interactions (grow,
+shrink, overwrite, rescale) are covered, not just single calls.
+Matrices of one and two objects put one-block stores of size 0 and 1
+through every primitive.
 
 The memmap backend additionally gets white-box units for what makes it
 a backend at all: the LRU cache bound, dirty writeback through
-eviction, shard-directory persistence/reopen, metadata validation and
-ownership cleanup.  The RSS regression test at the bottom runs a real
+eviction, the one-block gather/scatter path, shard-directory
+persistence/reopen, metadata validation, ownership cleanup and
+close-time flushing.  The RSS regression test at the bottom runs a real
 n=20,000 PAM workload in a subprocess and asserts the peak RSS a full
 in-memory triangle could never meet.
 """
@@ -30,6 +33,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,7 +43,7 @@ from repro.clustering import kmedoids as kmedoids_module
 from repro.clustering.kmedoids import k_medoids
 from repro.clustering.linkage import agglomerative
 from repro.clustering.quality import average_square_distance, dunn_index
-from repro.clustering.reference import reference_k_medoids
+from repro.clustering.reference import reference_agglomerative, reference_k_medoids
 from repro.core.config import ProtocolSuiteConfig
 from repro.distance.dissimilarity import (
     DissimilarityMatrix,
@@ -65,6 +69,7 @@ from repro.distance.store import (
     with_backend,
 )
 from repro.exceptions import ConfigurationError
+from repro.types import LinkageMethod
 
 BACKENDS = ("memory", "memmap")
 
@@ -550,11 +555,94 @@ def test_free_primitives_wrap_arrays_in_place():
     store.close()
 
 
+# -- the tie check across blocks ----------------------------------------------
+
+
+def test_duplicate_check_sees_a_tie_across_blocks():
+    """Values 1-10 with position 7 set equal to position 2: in blocks of
+    five entries the two copies sit in different blocks."""
+    values = np.arange(1.0, 11.0)
+    values[7] = values[2]
+    for spec in (StoreSpec(), StoreSpec(backend="memmap", block_entries=5)):
+        store = open_store(spec, values.size, values)
+        assert condensed_has_duplicates(store) is True
+        store.close()
+
+
+def test_duplicate_check_hash_groups_stay_exact_within_the_budget():
+    """A budget under the vector's size forces the hash-group scan.  It
+    finds a tie planted across blocks (0.0 against -0.0 too), finds none
+    among distinct values -- short binary fractions, whose bit patterns
+    end in zeros -- and its temporaries stay within the budget even when
+    the store is one block."""
+    size = 20_000
+    budget = 80_000  # bytes: four hash groups
+    distinct = (np.random.default_rng(61).permutation(size) + 1) / 8.0
+    tied = distinct.copy()
+    tied[size - 1] = tied[3]
+    zeros = distinct.copy()
+    zeros[5], zeros[15_000] = 0.0, -0.0
+    for spec in (StoreSpec(), StoreSpec(backend="memmap", block_entries=1000)):
+        for values, expected in ((distinct, False), (tied, True), (zeros, True)):
+            store = open_store(spec, size, values)
+            assert condensed_has_duplicates(store, budget_bytes=budget) is expected
+            store.close()
+    store = open_store(StoreSpec(), size, distinct)
+    tracemalloc.start()
+    try:
+        assert condensed_has_duplicates(store, budget_bytes=budget) is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
+
+
+def test_duplicate_check_of_squares():
+    """Ward merges squared distances: distinct values whose squares
+    round to the same float are a tie there."""
+    values = np.array([3.0, 1e-200, 2.0, 2e-200, 5.0, 7.0])
+    assert condensed_has_duplicates(values) is False
+    assert condensed_has_duplicates(values, squared=True) is True
+
+
+@given(
+    n=st.integers(4, 8),
+    block=st.integers(2, 4),
+    seed=st.integers(0, 2**32 - 1),
+    lowest=st.booleans(),
+    picks=st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+)
+@settings(max_examples=150, deadline=None)
+def test_cross_block_tie_keeps_memmap_dendrograms_equal(n, block, seed, lowest, picks):
+    """A tie planted across two blocks -- beneath every other distance,
+    where it decides the first merge, or anywhere -- leaves small-block
+    memmap dendrograms equal to memory ones and to the seed's, for all
+    five methods."""
+    size = condensed_size(n)
+    values = np.random.default_rng(seed).uniform(1.0, 10.0, size)
+    p = picks[0] % size
+    others = [q for q in range(size) if q // block != p // block]
+    q = others[picks[1] % len(others)]
+    values[p] = values[q] = values.min() / 2 if lowest else values[p]
+    memory = DissimilarityMatrix(n, values)
+    memmap = DissimilarityMatrix(
+        n,
+        values,
+        store_spec=StoreSpec(backend="memmap", block_entries=block, cache_bytes=2 * block * 8),
+    )
+    for method in LinkageMethod:
+        expected = reference_agglomerative(memory, method).merges
+        assert agglomerative(memory, method).merges == expected
+        assert agglomerative(memmap, method).merges == expected
+    memmap.store.close()
+
+
 # -- PAM's two evaluators ----------------------------------------------------
 
 #: The store layouts PAM meets.  A store that is one block (the in-memory
 #: store, or a memmap whose block holds the whole triangle) takes the
-#: square evaluator; a store of several blocks streams panels.
+#: square evaluator; a store of several blocks streams panels once the
+#: objects span several candidate blocks.
 PAM_LAYOUTS = {
     "memory": StoreSpec(),
     "memmap-one-block": StoreSpec(backend="memmap", block_entries=4096),
@@ -573,21 +661,32 @@ def pam_matrix(layout: str, tied: bool = False, n: int = 40) -> DissimilarityMat
     return DissimilarityMatrix(n, condensed, store_spec=PAM_LAYOUTS[layout])
 
 
+def record_panels(monkeypatch) -> list:
+    """Matrices PAM builds panels for, from here on in the test."""
+    built = []
+    panels = kmedoids_module._StorePanels
+
+    def recording(matrix):
+        built.append(matrix)
+        return panels(matrix)
+
+    monkeypatch.setattr(kmedoids_module, "_StorePanels", recording)
+    return built
+
+
 @pytest.mark.parametrize("layout", sorted(PAM_LAYOUTS))
 class TestPamEvaluators:
     def test_evaluator_follows_block_count(self, layout, monkeypatch):
-        built = []
-        panels = kmedoids_module._StorePanels
-
-        def recording(matrix):
-            built.append(matrix)
-            return panels(matrix)
-
-        monkeypatch.setattr(kmedoids_module, "_StorePanels", recording)
+        """The square, unless the store has several blocks *and* the
+        objects span several candidate blocks."""
+        built = record_panels(monkeypatch)
         matrix = pam_matrix(layout)
         single = len(list(matrix.store.block_ranges())) == 1
         assert single is (layout != "memmap-blocks")
-        k_medoids(matrix, 3)
+        k_medoids(matrix, 3)  # n = 40: one candidate block
+        assert built == []
+        monkeypatch.setattr(kmedoids_module, "_CANDIDATE_BLOCK", 16)
+        k_medoids(matrix, 3)  # three candidate blocks
         assert len(built) == (0 if single else 1)
 
     def test_matches_seed_reference(self, layout):
@@ -607,6 +706,27 @@ class TestPamEvaluators:
                 ) == (ref.labels, ref.medoids, ref.iterations, ref.converged)
                 assert result.cost == pytest.approx(ref.cost, abs=1e-9)
                 assert result.cost == k_medoids(square_path, k).cost
+
+
+@pytest.mark.parametrize("tied", [False, True], ids=["untied", "tied"])
+def test_panels_across_candidate_blocks_match_square_and_seed(tied, monkeypatch):
+    """With 16-candidate blocks, n = 40 on a store of several blocks
+    streams three column blocks through the panel evaluator -- a loop no
+    n <= 512 reaches otherwise.  It still follows the seed PAM, and gives
+    the square evaluator's result bit for bit, costs included."""
+    monkeypatch.setattr(kmedoids_module, "_CANDIDATE_BLOCK", 16)
+    built = record_panels(monkeypatch)
+    streamed = pam_matrix("memmap-blocks", tied)
+    square_path = pam_matrix("memory", tied)
+    for k in (1, 3, 6):
+        result = k_medoids(streamed, k)
+        ref = reference_k_medoids(square_path, k)
+        assert (
+            result.labels, result.medoids, result.iterations, result.converged
+        ) == (ref.labels, ref.medoids, ref.iterations, ref.converged)
+        assert result.cost == pytest.approx(ref.cost, abs=1e-9)
+        assert result == k_medoids(square_path, k)
+    assert len(built) == 3
 
 
 # -- memmap white-box units --------------------------------------------------
@@ -691,6 +811,65 @@ class TestMemmapInternals:
         (tmp_path / "meta.json").write_text(json.dumps(meta), encoding="utf-8")
         with pytest.raises(ConfigurationError):
             MemmapStore.open(str(tmp_path))
+
+    def test_one_block_gather_scatter_match_memory(self):
+        """A store of one block gathers and scatters through its fast
+        path: unsorted repeated positions, ``out=`` (flat and 2-D) and a
+        scatter read back all match the memory store."""
+        size = 6 * SMALL_BLOCK
+        values = fill_values(size, seed=3)
+        memory = open_store(StoreSpec(), size, values.copy())
+        one_block = open_store(
+            StoreSpec(backend="memmap", block_entries=size, cache_bytes=SMALL_CACHE),
+            size,
+            values.copy(),
+        )
+        assert list(one_block.block_ranges()) == [(0, size)]
+        rng = np.random.default_rng(5)
+        positions = rng.integers(0, size, size=4 * SMALL_BLOCK, dtype=np.int64)
+        np.testing.assert_array_equal(one_block.gather(positions), memory.gather(positions))
+        grid = positions[: 2 * SMALL_BLOCK].reshape(8, -1)
+        for wanted in (positions, grid):
+            out = np.empty(wanted.shape, dtype=np.float64)
+            assert one_block.gather(wanted, out=out) is out
+            np.testing.assert_array_equal(out, memory.gather(wanted))
+        unique = np.unique(positions)[::-1].copy()  # descending
+        replacement = fill_values(unique.size, seed=13)
+        for store in (memory, one_block):
+            store.scatter(unique, replacement)
+        np.testing.assert_array_equal(one_block.read(0, size), memory.read(0, size))
+        one_block.close()
+
+    def test_close_flushes_only_a_borrowed_directory(self, tmp_path, monkeypatch):
+        """An owned store's shards are deleted on close without an msync;
+        a borrowed store flushes its dirty blocks and leaves them."""
+        flushed = []
+        flush = np.memmap.flush
+
+        def recording(mapped):
+            flushed.append(mapped.filename)
+            return flush(mapped)
+
+        monkeypatch.setattr(np.memmap, "flush", recording)
+        owner = MemmapStore.create(
+            3 * SMALL_BLOCK,
+            block_entries=SMALL_BLOCK,
+            cache_bytes=SMALL_CACHE,
+            base_directory=str(tmp_path),
+        )
+        owner.write(0, fill_values(3 * SMALL_BLOCK, seed=47))
+        borrower = MemmapStore.open(owner.directory, cache_bytes=SMALL_CACHE)
+        borrower.write(SMALL_BLOCK, fill_values(SMALL_BLOCK, seed=53))
+        assert flushed == []
+        borrower.close()
+        assert len(flushed) == 1
+        assert os.path.isdir(owner.directory)
+
+        flushed.clear()
+        directory = owner.directory
+        owner.close()
+        assert flushed == []
+        assert not os.path.exists(directory)
 
     def test_sparse_zero_store_is_cheap(self, tmp_path):
         store = MemmapStore.create(

@@ -431,6 +431,58 @@ class TestSocketTransport:
             if beta is not None:
                 beta.close()
 
+    def test_peer_refusing_every_handshake_spends_the_reconnect_budget(self):
+        """A peer that accepts every connection and answers with another
+        session's fingerprint is redialed with backoff, one attempt of the
+        reconnect budget per connection, and then declared dead."""
+        tmp = tempfile.mkdtemp()
+        addresses = {name: f"unix:{tmp}/{name}.sock" for name in ("alpha", "beta")}
+        fake = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+        fake.bind(f"{tmp}/beta.sock")
+        fake.listen(8)
+        fake.settimeout(0.1)
+        accepted = []
+        stop = threading.Event()
+
+        def refuse_every_handshake():
+            while not stop.is_set():
+                try:
+                    conn, _ = fake.accept()
+                except socket.timeout:
+                    continue
+                except OSError:
+                    return
+                accepted.append(time.monotonic())
+                with conn:
+                    conn.settimeout(5.0)
+                    try:
+                        conn.sendall(encode_frame(
+                            hs.hello_frame("beta", 1, b"\x08" * 32, 2, 0)
+                        ))
+                        while conn.recv(4096):  # until alpha hangs up
+                            pass
+                    except OSError:
+                        pass
+
+        server = threading.Thread(target=refuse_every_handshake)
+        server.start()
+        alpha = SocketTransport(
+            "alpha", addresses, SessionLinkSecurity(11, "alpha"), FINGERPRINT,
+            reconnect=RetryPolicy(max_attempts=4, backoff_base=0.05, backoff_cap=0.2),
+            heartbeat_interval=0.05,
+        )
+        try:
+            with pytest.raises(ChannelError, match="declared dead"):
+                alpha.connect_all(5.0)
+            assert alpha.liveness("beta") == DEAD
+            time.sleep(0.3)  # a dial loop still running would connect again
+            assert 1 <= len(accepted) <= 4
+        finally:
+            stop.set()
+            server.join(timeout=5.0)
+            fake.close()
+            alpha.close()
+
     def test_transient_disconnect_replays_unacked_frames(self):
         mesh = _mesh()
         try:
