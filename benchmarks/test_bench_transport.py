@@ -70,6 +70,16 @@ def _message() -> bytes:
     return bytes(i * 31 % 256 for i in range(MESSAGE_BYTES))
 
 
+def _on_seed_codec(fn):
+    """``fn`` on the seed transport: every call enters :func:`scalar_transport`."""
+
+    def run():
+        with scalar_transport():
+            fn()
+
+    return run
+
+
 def test_sealed_transport_throughput(table, bench_store, alternating):
     """>= 5x on the per-message cost of a secure channel, bytes identical."""
     message = _message()
@@ -127,19 +137,22 @@ def test_sealed_transport_throughput(table, bench_store, alternating):
     assert seal_speedup >= min(2.0, SPEEDUP_BAR)
 
 
-def test_codec_int_run_speedup(table, bench_store):
+def test_codec_int_run_speedup(table, bench_store, alternating):
     """Batched integer-run encode/decode vs the seed's per-element loops."""
     import random
 
     rng = random.Random(5)
     values = [rng.randrange(0, 2**64) for _ in range(65536)]
     wire = serialize(values)
-    fast_encode = _best_of(lambda: serialize(values))
-    fast_decode = _best_of(lambda: deserialize(wire))
     with scalar_transport():
         assert serialize(values) == wire
-        seed_encode = _best_of(lambda: serialize(values))
-        seed_decode = _best_of(lambda: deserialize(wire))
+    seed_encode, fast_encode, seed_decode, fast_decode = alternating(
+        _on_seed_codec(lambda: serialize(values)),
+        lambda: serialize(values),
+        _on_seed_codec(lambda: deserialize(wire)),
+        lambda: deserialize(wire),
+        repeats=5,
+    )
     encode_speedup = seed_encode / fast_encode
     decode_speedup = seed_decode / fast_decode
     table(
@@ -164,7 +177,7 @@ def test_codec_int_run_speedup(table, bench_store):
     assert decode_speedup >= min(1.2, SPEEDUP_BAR)
 
 
-def test_codec_ccm_message_speedup(table, bench_store):
+def test_codec_ccm_message_speedup(table, bench_store, alternating):
     """Array-run encode/decode of one CCM message vs the seed's per-array
     records (the ``construct-mixed`` shape: 32 DNA strings of 16 per site)."""
     rng = np.random.default_rng(7)
@@ -178,12 +191,15 @@ def test_codec_ccm_message_speedup(table, bench_store):
         "matrices": responder_ccm_matrices(strings_k, masked, DNA_ALPHABET),
     }
     wire = serialize(payload)
-    fast_encode = _best_of(lambda: serialize(payload))
-    fast_decode = _best_of(lambda: deserialize(wire))
     with scalar_transport():
         assert serialize(payload) == wire
-        seed_encode = _best_of(lambda: serialize(payload))
-        seed_decode = _best_of(lambda: deserialize(wire))
+    seed_encode, fast_encode, seed_decode, fast_decode = alternating(
+        _on_seed_codec(lambda: serialize(payload)),
+        lambda: serialize(payload),
+        _on_seed_codec(lambda: deserialize(wire)),
+        lambda: deserialize(wire),
+        repeats=5,
+    )
     encode_speedup = seed_encode / fast_encode
     decode_speedup = seed_decode / fast_decode
     table(

@@ -22,7 +22,8 @@ of the two values -- and the stateful differential suite
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from contextlib import contextmanager
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.core.config import SessionConfig
 from repro.core.delta import DeltaPlan, SiteGrowth, construct_attributes_delta
@@ -37,6 +38,55 @@ from repro.network.serialization import deserialize, serialize
 
 #: Version tag of the checkpoint blob layout.
 SNAPSHOT_FORMAT = 1
+
+#: The snapshot sections that map names to values, with the type every
+#: value must have.
+_SECTION_VALUES: dict[str, Any] = {
+    "sites": int,
+    "holder_rows": list,
+    "third_party": dict,
+    "group_keys": (bytes, type(None)),
+    "channel_entropy": int,
+    "holder_entropy": int,
+}
+
+
+def _check_sections(state: dict[str, Any]) -> None:
+    """Raise :class:`SnapshotError` unless every state section has the
+    shape :meth:`ClusteringService.snapshot` writes."""
+    epoch = state["epoch"]
+    if not isinstance(epoch, int) or isinstance(epoch, bool) or epoch < 0:
+        raise SnapshotError("snapshot section 'epoch' is not a non-negative integer")
+    for name, value_type in _SECTION_VALUES.items():
+        section = state[name]
+        if not isinstance(section, dict) or not all(
+            isinstance(key, str)
+            and isinstance(value, value_type)
+            and not isinstance(value, bool)
+            for key, value in section.items()
+        ):
+            raise SnapshotError(
+                f"snapshot section {name!r} is not a mapping of names to "
+                f"values of the type the snapshot writes"
+            )
+    for name in ("holder_rows", "group_keys", "holder_entropy"):
+        if set(state[name]) != set(state["sites"]):
+            raise SnapshotError(
+                f"snapshot sections 'sites' and {name!r} disagree on the "
+                f"consortium ({sorted(state['sites'])} vs {sorted(state[name])})"
+            )
+
+
+@contextmanager
+def _installing(section: str) -> Iterator[None]:
+    """Turn a failure to install one snapshot section into a
+    :class:`SnapshotError` that names the section."""
+    try:
+        yield
+    except Exception as exc:
+        raise SnapshotError(
+            f"snapshot section {section!r} does not fit the restored session: {exc}"
+        ) from exc
 
 
 class ClusteringService:
@@ -174,7 +224,8 @@ class ClusteringService:
 
         Raises :class:`~repro.exceptions.SnapshotError` when the blob is
         truncated or corrupted, carries an unsupported format version, is
-        missing state sections, or disagrees with the supplied ``schema``
+        missing state sections or holds one of the wrong shape, or
+        disagrees with the supplied ``schema`` or the restored session
         -- so supervisors can tell "bad checkpoint file" apart from
         protocol failures.
         """
@@ -207,11 +258,7 @@ class ClusteringService:
             raise SnapshotError(
                 f"snapshot blob is missing state sections: {missing}"
             )
-        if set(state["holder_rows"]) != set(state["sites"]):
-            raise SnapshotError(
-                "snapshot sites and holder rows disagree on the consortium "
-                f"({sorted(state['sites'])} vs {sorted(state['holder_rows'])})"
-            )
+        _check_sections(state)
         try:
             partitions = {
                 site: DataMatrix(schema, [tuple(row) for row in rows])
@@ -231,16 +278,19 @@ class ClusteringService:
         session = ClusteringSession(
             config, partitions, tp_name=tp_name, shared_secrets=shared_secrets
         )
-        session.third_party.restore_state(state["third_party"])
+        with _installing("third_party"):
+            session.third_party.restore_state(state["third_party"])
         for site, group_key in state["group_keys"].items():
             if group_key is not None:
                 session.holders[site].install_group_key(group_key)
-        session.network.advance_channel_entropy(state["channel_entropy"])
-        for site, target in state["holder_entropy"].items():
-            session.holders[site].advance_entropy(int(target))
+        with _installing("channel_entropy"):
+            session.network.advance_channel_entropy(state["channel_entropy"])
+        with _installing("holder_entropy"):
+            for site, target in state["holder_entropy"].items():
+                session.holders[site].advance_entropy(target)
         session._constructed = True
         service._session = session
-        service._epoch = int(state["epoch"])
+        service._epoch = state["epoch"]
         service.delta_trace = []
         return service
 

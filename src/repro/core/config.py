@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING, Sequence
 
 from repro.crypto.prng import DEFAULT_PRNG_KIND, available_kinds
 from repro.exceptions import ConfigurationError
-from repro.network.retry import RetryPolicy
 from repro.types import LinkageMethod
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -61,23 +60,6 @@ class ProtocolSuiteConfig:
         parallel schedule overlaps these delays across independent
         (attribute, pair) runs, which is where its wall-clock win comes
         from on latency-bound workloads.
-    retry_max_attempts:
-        Delivery attempts per frame before the receiving lane gives up
-        with :class:`~repro.exceptions.LaneTimeoutError`.  The simulated
-        network's reliable-delivery shim (per-lane sequence numbers,
-        payload CRCs, NACK/retransmit) runs on every receive, so this
-        is the knob that decides which fault rates a
-        :class:`~repro.network.faults.FaultPlan` may inject and still
-        leave results unchanged.
-    retry_backoff_base:
-        First retransmit backoff in seconds; doubles per attempt.  The
-        default 0 never sleeps (the in-process simulator retransmits
-        instantly).
-    retry_backoff_cap:
-        Ceiling on a single backoff sleep, in seconds.
-    retry_deadline:
-        Optional wall-clock budget per receive, in seconds; ``None``
-        bounds recovery by ``retry_max_attempts`` alone.
     tolerate_faults:
         ``True`` lets construction degrade instead of abort when a party
         crashes or a lane times out: the session keeps every unaffected
@@ -111,10 +93,6 @@ class ProtocolSuiteConfig:
     fresh_string_masks: bool = False
     construction_schedule: str = "sequential"
     link_latency: float = 0.0
-    retry_max_attempts: int = 6
-    retry_backoff_base: float = 0.0
-    retry_backoff_cap: float = 0.05
-    retry_deadline: float | None = None
     tolerate_faults: bool = False
     store_backend: str | None = None
     store_block_entries: int | None = None
@@ -145,9 +123,7 @@ class ProtocolSuiteConfig:
             raise ConfigurationError(
                 f"link_latency must be in [0, 1] seconds, got {self.link_latency}"
             )
-        # Delegate retry-knob validation to the policy that consumes them.
-        self.retry_policy()
-        # Same for the storage knobs: StoreSpec validates on construction.
+        # Delegate storage-knob validation to StoreSpec's constructor.
         self.store_spec()
 
     def store_spec(self) -> "StoreSpec":
@@ -173,15 +149,6 @@ class ProtocolSuiteConfig:
         if overrides:
             spec = replace(spec, **overrides)  # type: ignore[arg-type]
         return spec
-
-    def retry_policy(self) -> RetryPolicy:
-        """The :class:`~repro.network.retry.RetryPolicy` these knobs spell."""
-        return RetryPolicy(
-            max_attempts=self.retry_max_attempts,
-            backoff_base=self.retry_backoff_base,
-            backoff_cap=self.retry_backoff_cap,
-            deadline=self.retry_deadline,
-        )
 
 
 @dataclass(frozen=True)

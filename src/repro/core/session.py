@@ -78,8 +78,11 @@ class ClusteringSession:
         have derived leaves every transcript byte unchanged.
     fault_plan:
         Optional seeded :class:`~repro.network.faults.FaultPlan`; the
-        network's reliable-delivery shim recovers what it injects under
-        the suite's retry knobs.  When ``None``, the ``REPRO_CHAOS_PRESET``
+        network's send recovers what it injects under the default
+        :class:`~repro.network.retry.RetryPolicy` (tests that need
+        another budget pass one to
+        :meth:`~repro.network.simulator.Network.install_fault_plan`).
+        When ``None``, the ``REPRO_CHAOS_PRESET``
         environment variable (a preset name) installs a reproducible
         chaos plan derived from the master seed -- the CI chaos-smoke
         job's hook.
@@ -121,11 +124,7 @@ class ClusteringSession:
                     seed=f"chaos|{config.master_seed}",
                     parties=sorted(partitions),
                 )
-        self.network = Network(
-            latency=config.suite.link_latency,
-            fault_plan=fault_plan,
-            retry=config.suite.retry_policy(),
-        )
+        self.network = Network(latency=config.suite.link_latency, fault_plan=fault_plan)
         self._constructed = False
         self._weights_collected = False
         #: Step names in the order the construction scheduler ran them

@@ -108,20 +108,20 @@ class ScalarSymmetricCipher:
 def scalar_transport() -> Iterator[None]:
     """Run the whole transport stack on the seed implementations.
 
-    Within the block, newly created secure channels seal with
-    :class:`ScalarSymmetricCipher` and the wire codec takes the generic
-    per-element encode/decode paths.  Channels created *before* entering
-    keep whatever cipher they were built with, so scope sessions inside
-    the block.
+    Within the block, newly created secure links (simulator channels and
+    socket link ciphers alike) seal with :class:`ScalarSymmetricCipher`
+    and the wire codec takes the generic per-element encode/decode
+    paths.  Links created *before* entering keep whatever cipher they
+    were built with, so scope sessions inside the block.
     """
-    from repro.network import channel, serialization
+    from repro.network import handshake, serialization
 
-    saved_cipher = channel.SymmetricCipher
+    saved_cipher = handshake.SymmetricCipher
     saved_fast = serialization._FAST_PATHS
-    channel.SymmetricCipher = ScalarSymmetricCipher  # type: ignore[misc,assignment]
+    handshake.SymmetricCipher = ScalarSymmetricCipher  # type: ignore[misc,assignment]
     serialization._FAST_PATHS = False
     try:
         yield
     finally:
-        channel.SymmetricCipher = saved_cipher  # type: ignore[misc]
+        handshake.SymmetricCipher = saved_cipher  # type: ignore[misc]
         serialization._FAST_PATHS = saved_fast

@@ -47,7 +47,7 @@ class PartyCrashError(ChannelError):
 
     Raised by the network when a *permanently* crashed party attempts
     I/O.  Transient crashes never raise: they only lose frames in
-    flight, which the reliable-delivery shim recovers by retransmit.
+    flight, which the simulator's send recovers by retransmit.
     """
 
     def __init__(self, party: str, message: str | None = None) -> None:
@@ -59,7 +59,7 @@ class LaneTimeoutError(ChannelError, TimeoutError):
     """Reliable delivery gave up on one lane.
 
     Structured so recovery code (and a human reading a chaos-test log)
-    can see exactly which directed lane starved and how hard the shim
+    can see exactly which directed lane starved and how hard recovery
     tried: ``sender``/``recipient``/``kind``/``tag`` name the lane,
     ``attempts`` counts delivery attempts including retransmits.
     """

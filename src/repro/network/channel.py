@@ -5,9 +5,10 @@ secured*: a third party listening on the DHJ->DHK link learns ``r +- x``
 and already knows ``r``, so it narrows ``x`` to two candidates; likewise
 DHJ listening on DHK->TP narrows ``y``.  We model both channel flavours:
 
-* a **secure** channel seals every payload with
-  :class:`repro.crypto.sym.SymmetricCipher` (eavesdroppers see only
-  ciphertext, and the accounting honestly charges the sealing overhead),
+* a **secure** channel seals every payload through its link's
+  :class:`~repro.network.handshake.LinkCipher`, the sealing state the
+  socket transport uses too (eavesdroppers see only ciphertext, and the
+  accounting honestly charges the sealing overhead),
 * an **insecure** channel transmits the serialized payload as-is, and
   any registered :class:`Eavesdropper` receives a verbatim copy --
   which is exactly the capability the attack harness needs.
@@ -16,13 +17,12 @@ DHJ listening on DHK->TP narrows ``y``.  We model both channel flavours:
 from __future__ import annotations
 
 import threading
-import zlib
 from dataclasses import dataclass, field
 from typing import Any
 
 from repro.crypto.prng import ReseedablePRNG
-from repro.crypto.sym import SymmetricCipher
 from repro.exceptions import ChannelError
+from repro.network.handshake import LinkCipher
 from repro.network.message import Message
 from repro.network.serialization import deserialize, serialize
 
@@ -96,10 +96,10 @@ class Eavesdropper:
 class Channel:
     """Bidirectional link between two named parties.
 
-    ``secure=True`` requires a shared ``key``; each endpoint seals with
-    the same cipher (the simulation executes both ends in-process, so one
-    cipher object suffices).  ``entropy`` feeds nonce generation and is
-    required only for secure channels.
+    ``secure=True`` requires a shared ``key``; both endpoints seal with
+    the one :attr:`link` cipher (the simulation executes both ends
+    in-process).  ``entropy`` feeds nonce generation and is required
+    only for secure channels.
     """
 
     def __init__(
@@ -114,14 +114,15 @@ class Channel:
             raise ChannelError("channel endpoints must differ")
         self.endpoints = frozenset((party_a, party_b))
         self.secure = secure
-        if secure:
-            if key is None or entropy is None:
-                raise ChannelError("secure channel requires key and entropy")
-            self._cipher: SymmetricCipher | None = SymmetricCipher(key)
-            self._entropy = entropy
-        else:
-            self._cipher = None
-            self._entropy = None
+        if secure and (key is None or entropy is None):
+            raise ChannelError("secure channel requires key and entropy")
+        #: The link's sealing state; its nonce position is what a
+        #: session checkpoint records per link.
+        self.link = (
+            LinkCipher((party_a, party_b), key, entropy)
+            if secure
+            else LinkCipher((party_a, party_b))
+        )
         # guarded-by: self._lock
         self._stats: dict[tuple[str, str], ChannelStats] = {}
         # guarded-by: self._lock
@@ -130,11 +131,11 @@ class Channel:
         self._tag_stats: dict[str, ChannelStats] = {}
         # guarded-by: self._lock
         self._taps: list[Eavesdropper] = []
-        #: Serialises sealing (nonce entropy + cipher state), counter
-        #: updates and tap captures: concurrent transmits on one link
-        #: account exactly, and a tap's view is consistent with the
-        #: counters.  Serialization/deserialization stay outside the
-        #: lock -- they are pure and dominate a big frame's CPU cost.
+        #: Serialises sealing, counter updates and tap captures:
+        #: concurrent transmits on one link account exactly, and a tap's
+        #: view is consistent with the counters.  Serialization and
+        #: deserialization stay outside the lock -- they are pure and
+        #: dominate a big frame's CPU cost.
         #: Re-entrant because :meth:`transmit` records through the same
         #: ``stats``/``kind_stats`` accessors readers use.
         self._lock = threading.RLock()
@@ -172,35 +173,6 @@ class Channel:
         if name not in self.endpoints:
             raise ChannelError(f"{name!r} is not an endpoint of {set(self.endpoints)}")
 
-    def entropy_draws(self) -> int | None:
-        """Words drawn from the nonce entropy so far (``None`` if insecure).
-
-        Checkpointing records this per channel: a restored session
-        fast-forwards the freshly derived entropy to the same position,
-        so post-restore nonces continue exactly where the snapshotted
-        session's would have.
-        """
-        if self._entropy is None:
-            return None
-        return self._entropy.draws
-
-    def advance_entropy(self, target: int) -> None:
-        """Fast-forward the nonce entropy to ``target`` drawn words.
-
-        Valid because the DRBG's state depends only on the total number
-        of words drawn, never on the call pattern that drew them.
-        """
-        if self._entropy is None:
-            raise ChannelError("insecure channel has no entropy to advance")
-        behind = target - self._entropy.draws
-        if behind < 0:
-            raise ChannelError(
-                f"cannot rewind channel entropy from {self._entropy.draws} "
-                f"to {target} draws"
-            )
-        if behind:
-            self._entropy.next_words(behind)
-
     def transmit(self, sender: str, recipient: str, kind: str, tag: str, payload: Any) -> Message:
         """Serialize, optionally seal, account, tap, and deliver."""
         self._require_endpoint(sender)
@@ -209,15 +181,7 @@ class Channel:
             raise ChannelError("sender and recipient must differ")
         plain = serialize(payload)
         with self._lock:
-            if self._cipher is not None:
-                assert self._entropy is not None
-                # Both endpoints run in this process, so sealing and the
-                # recipient's open share one keystream -- the wire bytes are
-                # byte-identical to a separate seal() (same nonce entropy),
-                # but the channel no longer pays for every keystream twice.
-                wire, plain = self._cipher.transmit_roundtrip(plain, self._entropy)
-            else:
-                wire = plain
+            wire, plain = self.link.roundtrip(plain)
             self.stats(sender, recipient).record(len(plain), len(wire))
             self.kind_stats(sender, recipient, kind).record(len(plain), len(wire))
             self._tag_stats.setdefault(tag, ChannelStats()).record(len(plain), len(wire))
@@ -239,5 +203,4 @@ class Channel:
             payload=deserialize(plain),
             wire_bytes=len(wire),
             sealed=self.secure,
-            crc=zlib.crc32(plain),
         )

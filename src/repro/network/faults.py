@@ -22,12 +22,18 @@ Two scheduling layers compose:
 Crash events model parties going dark.  A *transient* crash
 (``down_for`` given) is a partition: frames addressed to the party are
 lost until ``down_for`` further delivery attempts have been absorbed,
-after which the party is reachable again -- the reliable shim's
-retransmits both tick the outage down and recover the lost frames, so
-transient crashes are maskable.  A *permanent* crash (``down_for=None``)
-additionally makes the party's own sends and receives raise
+after which the party is reachable again.  The simulator's send
+retransmits a frame lost to an outage at once, so the frame that meets
+the outage absorbs it attempt by attempt and then gets through:
+transient crashes are maskable while ``down_for`` stays under the retry
+budget.  A *permanent* crash (``down_for=None``) additionally makes the
+party's own sends and receives raise
 :class:`~repro.exceptions.PartyCrashError`; only the scheduler's
 degraded mode survives that.
+
+A *delayed* frame arrives late but intact and in order.  The simulated
+links are synchronous, so a delay changes nothing a receive can see; it
+is counted (``delayed_deliveries``) and otherwise delivered as is.
 
 Retransmissions bypass the rate layer by default (``fault_retransmits``
 turns them back on): the recovery path is modelled as clean, which is
@@ -44,9 +50,6 @@ from typing import Mapping, Sequence
 
 from repro.crypto.prng import DEFAULT_PRNG_KIND, ReseedablePRNG, make_prng
 from repro.exceptions import ConfigurationError
-
-#: Recognised scripted actions (``"delay:N"`` is also accepted).
-SCRIPT_ACTIONS = ("pass", "drop", "duplicate", "corrupt", "delay")
 
 #: Built-in chaos presets for the CI chaos-smoke matrix.
 PRESETS = ("lossy", "crashy")
@@ -116,17 +119,25 @@ class CrashEvent:
 
 @dataclass(frozen=True)
 class FaultDecision:
-    """What the plan does to one frame."""
+    """What the plan does to one transmission: loses it, or delivers it,
+    possibly duplicated and either corrupted or delayed."""
 
     deliver: bool = True
     duplicate: bool = False
     corrupt: bool = False
-    delay_polls: int = 0
-    #: Nonzero XOR mask applied to the frame checksum when ``corrupt``.
-    tamper: int = 0
+    delayed: bool = False
 
 
 _CLEAN = FaultDecision()
+
+#: Recognised scripted actions and the decision each stands for.
+_SCRIPTED = {
+    "pass": _CLEAN,
+    "drop": FaultDecision(deliver=False),
+    "duplicate": FaultDecision(duplicate=True),
+    "corrupt": FaultDecision(corrupt=True),
+    "delay": FaultDecision(delayed=True),
+}
 
 
 class _CrashState:
@@ -168,9 +179,6 @@ class FaultPlan:
     drop, duplicate, corrupt, delay:
         Default per-frame fault rates, overridable per lane pattern via
         ``rules``.
-    max_delay_polls:
-        A delayed frame becomes deliverable after 1..``max_delay_polls``
-        receive polls of its lane.
     rules:
         :class:`FaultRule` overrides; first match wins.
     crashes:
@@ -195,7 +203,6 @@ class FaultPlan:
         duplicate: float = 0.0,
         corrupt: float = 0.0,
         delay: float = 0.0,
-        max_delay_polls: int = 2,
         rules: Sequence[FaultRule] = (),
         crashes: Sequence[CrashEvent] = (),
         script: Mapping[tuple[str, str, str], Sequence[str]] | None = None,
@@ -206,11 +213,6 @@ class FaultPlan:
         self.duplicate = _check_rate("duplicate", duplicate)
         self.corrupt = _check_rate("corrupt", corrupt)
         self.delay = _check_rate("delay", delay)
-        if max_delay_polls < 1:
-            raise ConfigurationError(
-                f"max_delay_polls must be >= 1, got {max_delay_polls}"
-            )
-        self.max_delay_polls = int(max_delay_polls)
         self.rules = tuple(rules)
         self.fault_retransmits = bool(fault_retransmits)
         self._seed = seed
@@ -220,8 +222,7 @@ class FaultPlan:
         }
         for triple, actions in self._script.items():
             for action in actions:
-                base = action.split(":", 1)[0]
-                if base not in SCRIPT_ACTIONS:
+                if action not in _SCRIPTED:
                     raise ConfigurationError(
                         f"unknown scripted action {action!r} for {triple}"
                     )
@@ -262,7 +263,6 @@ class FaultPlan:
                 duplicate=0.08,
                 corrupt=0.08,
                 delay=0.15,
-                max_delay_polls=2,
                 prng_kind=DEFAULT_PRNG_KIND,
             )
         if name == "crashy":
@@ -281,7 +281,6 @@ class FaultPlan:
                 duplicate=0.04,
                 corrupt=0.04,
                 delay=0.08,
-                max_delay_polls=2,
                 crashes=crashes,
                 prng_kind=DEFAULT_PRNG_KIND,
             )
@@ -343,7 +342,7 @@ class FaultPlan:
         """
         scripted = None if retransmission else self._scripted(sender, recipient, kind)
         if scripted is not None:
-            return self._from_script(scripted, sender, recipient, kind, tag)
+            return _SCRIPTED[scripted]
         if retransmission and not self.fault_retransmits:
             return _CLEAN
         drop, duplicate, corrupt, delay = self._rates(sender, recipient, kind)
@@ -351,35 +350,16 @@ class FaultPlan:
             return _CLEAN
         prng = self._lane_prng(sender, recipient, kind, tag)
         with self._lock:
+            # Six words per frame, two of them unused: the draw count is
+            # what places every later frame of the lane on its stream.
             words = prng.next_words(6)
         rolls = [int(w) / _WORD_SCALE for w in words[:4]]
-        polls = 1 + int(words[4]) % self.max_delay_polls
-        tamper = (int(words[5]) & 0xFFFFFFFF) | 1
         if rolls[0] < drop:
             return FaultDecision(deliver=False)
         dup = rolls[1] < duplicate
         if rolls[2] < corrupt:
-            return FaultDecision(duplicate=dup, corrupt=True, tamper=tamper)
-        if rolls[3] < delay:
-            return FaultDecision(duplicate=dup, delay_polls=polls)
-        return FaultDecision(duplicate=dup)
-
-    def _from_script(
-        self, action: str, sender: str, recipient: str, kind: str, tag: str
-    ) -> FaultDecision:
-        if action == "pass":
-            return _CLEAN
-        if action == "drop":
-            return FaultDecision(deliver=False)
-        if action == "duplicate":
-            return FaultDecision(duplicate=True)
-        if action == "corrupt":
-            prng = self._lane_prng(sender, recipient, kind, tag)
-            with self._lock:
-                word = prng.next_uint64()
-            return FaultDecision(corrupt=True, tamper=(word & 0xFFFFFFFF) | 1)
-        polls = int(action.split(":", 1)[1]) if ":" in action else 1
-        return FaultDecision(delay_polls=max(1, polls))
+            return FaultDecision(duplicate=dup, corrupt=True)
+        return FaultDecision(duplicate=dup, delayed=rolls[3] < delay)
 
     # -- crash bookkeeping -------------------------------------------------
 

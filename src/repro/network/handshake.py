@@ -227,11 +227,11 @@ def check_fingerprint(expected: bytes, hello: Hello) -> None:
 
 
 class LinkCipher:
-    """One endpoint's sealing state for one link, in simulator lockstep.
+    """One link's sealing state, shared by both transports.
 
-    The in-process simulator runs both endpoints of a
-    :class:`~repro.network.channel.Channel` against a *single* shared
-    nonce-entropy stream, so link nonces advance once per frame in frame
+    The in-process simulator's :class:`~repro.network.channel.Channel`
+    holds one ``LinkCipher`` for both of its endpoints and seals through
+    :meth:`roundtrip`, so link nonces advance once per frame in frame
     order.  In a multi-process session each endpoint derives its own
     copy of that same stream and keeps it synchronised by construction:
 
@@ -297,6 +297,20 @@ class LinkCipher:
         assert self._entropy is not None
         with self._lock:
             return self._cipher.seal(plain, self._entropy)
+
+    def roundtrip(self, plain: bytes) -> tuple[bytes, bytes]:
+        """Seal one payload and open it at the other end, in one process.
+
+        Returns ``(wire, opened)``.  The two halves share one keystream
+        (:meth:`repro.crypto.sym.SymmetricCipher.transmit_roundtrip`), so
+        the wire bytes equal :meth:`seal`'s and the stream advances by one
+        frame's nonce; bytes pass through unchanged when insecure.
+        """
+        if self._cipher is None:
+            return plain, plain
+        assert self._entropy is not None
+        with self._lock:
+            return self._cipher.transmit_roundtrip(plain, self._entropy)
 
     def open(self, body: bytes) -> bytes:
         """Open one received frame body, then advance the nonce stream.

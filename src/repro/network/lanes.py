@@ -14,9 +14,9 @@ socket transport one for its local party, so the receive contract of
 
 The inbox has no lock: its owner guards every call (the simulator's
 per-recipient lock, the socket transport's condition variable).
-Entries are opaque to it -- the simulator queues fault-tracking frames,
-the socket transport plain messages -- so error texts name lanes only,
-never payloads.
+Entries are opaque to it -- the simulator queues messages and records
+of frames lost for good, the socket transport messages -- so error
+texts name lanes only, never payloads.
 """
 
 from __future__ import annotations
@@ -54,11 +54,6 @@ class LaneInbox(Generic[EntryT]):
         queue.append((self._arrivals, entry))
         self._arrivals += 1
 
-    def head(self, lane: Lane) -> EntryT | None:
-        """The lane's oldest entry, or ``None`` when the lane is empty."""
-        queue = self._lanes.get(lane)
-        return queue[0][1] if queue else None
-
     def pop(self, lane: Lane) -> EntryT:
         """Take the lane's oldest entry (the lane must be non-empty)."""
         queue = self._lanes[lane]
@@ -66,11 +61,6 @@ class LaneInbox(Generic[EntryT]):
         if not queue:
             del self._lanes[lane]
         return entry
-
-    def discard(self, lane: Lane) -> int:
-        """Remove a whole lane; returns how many entries it held."""
-        queue = self._lanes.pop(lane, None)
-        return len(queue) if queue is not None else 0
 
     def clear(self) -> int:
         """Discard every entry; returns how many there were."""

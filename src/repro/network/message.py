@@ -28,11 +28,6 @@ class Message:
         channel sealing overhead when applicable.
     sealed:
         Whether the channel encrypted the message in transit.
-    crc:
-        CRC-32 of the serialized payload, computed by the sending
-        channel.  The reliable-delivery shim compares it against the
-        frame's wire-side checksum on open, so in-flight corruption is
-        detected (and recovered by retransmit) instead of misparsed.
     """
 
     sender: str
@@ -42,4 +37,3 @@ class Message:
     payload: Any = field(repr=False)
     wire_bytes: int
     sealed: bool
-    crc: int = 0

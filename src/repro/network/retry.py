@@ -1,10 +1,11 @@
-"""Retry/backoff policy for the reliable-delivery shim.
+"""Retry/backoff policy for recovery on faulty links.
 
-A receive on a faulty link loops: inspect the lane, and if the expected
-frame was dropped or damaged, request a retransmit and try again.  This
-module owns *how hard* that loop tries: an attempt budget, a capped
-exponential backoff between attempts, and an optional wall-clock
-``deadline`` after which the lane is declared dead.
+The simulator's send retransmits a frame the links dropped or damaged
+until it arrives intact; the socket transport paces its redials and
+bounds its receives with the same policy.  This module owns *how hard*
+recovery tries: an attempt budget, a capped exponential backoff between
+attempts, and an optional wall-clock ``deadline`` after which the
+frame is declared lost.
 
 Determinism note: nothing protocol-visible ever depends on these clock
 reads.  Backoff only spaces retransmit attempts in wall-clock time (it
@@ -28,13 +29,14 @@ from repro.exceptions import ConfigurationError
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """How the reliable receive loop paces and bounds its attempts.
+    """How recovery paces and bounds its attempts.
 
     Attributes
     ----------
     max_attempts:
         Delivery attempts per frame (first try plus retransmits) before
-        the lane raises :class:`~repro.exceptions.LaneTimeoutError`.
+        the frame is lost and the receive that takes it raises
+        :class:`~repro.exceptions.LaneTimeoutError`.
         This is the knob that decides which fault rates are *maskable*:
         a frame must survive one of ``max_attempts`` independent rolls.
     backoff_base:
@@ -44,8 +46,9 @@ class RetryPolicy:
     backoff_cap:
         Upper bound on a single backoff sleep, in seconds.
     deadline:
-        Optional wall-clock budget in seconds for one receive.  ``None``
-        (the default) bounds the loop by ``max_attempts`` alone.
+        Optional wall-clock budget in seconds for one frame's recovery
+        (for one receive, on the socket transport).  ``None`` (the
+        default) bounds recovery by ``max_attempts`` alone.
     """
 
     max_attempts: int = 6

@@ -12,40 +12,39 @@ Every message lands in its recipient's ``(sender, kind, tag)`` lane, and
 receives follow the contract of :mod:`repro.network.transport`: a lane
 receive (``tag`` given) takes that lane's head and nothing else; a
 tagless receive takes the oldest message, or the oldest from
-``sender``.  Tags are attribute-scoped (``"numeric/age"``), so one lane
-carries exactly one protocol run's message stream per holder pair
-direction -- concurrent runs on the same link never contend for a
-queue head.
+``sender``.  Tags are attribute-scoped (``"numeric/age"``), so runs of
+different attributes never share a lane.  Runs of one attribute can:
+with three or more sites, a responder's lane into the third party
+carries one block per initiator, in whatever order the schedule sends
+them.
 
-Every receive is the **reliable-delivery shim**'s loop.  Each frame
-carries a per-lane sequence number and the sending channel's payload
-CRC, and a receive NACKs and retransmits under a
-:class:`~repro.network.retry.RetryPolicy`; on perfect links it delivers
-on its first scan.  Installing a :class:`~repro.network.faults.FaultPlan`
-makes the links unreliable on purpose, and the loop recovers:
+**Recovery happens at send.**  The simulated links are synchronous, so
+a frame's fate is known the moment it is sent: :meth:`Network.send`
+delivers each frame or records it as lost, and a receive only takes.
+Installing a :class:`~repro.network.faults.FaultPlan` makes the links
+unreliable on purpose, and send recovers under the
+:class:`~repro.network.retry.RetryPolicy`:
 
-* **dropped** frames stay in the lane as placeholders (so FIFO order
-  and "was this ever sent?" stay unambiguous) and are repaired by
-  re-transmitting the original payload through the channel -- recovery
-  honestly pays wire bytes;
-* **corrupted** frames fail the CRC integrity check on open and are
-  repaired the same way;
-* **duplicated** frames share their original's sequence number and are
-  suppressed when the original is delivered;
-* **delayed** frames become deliverable after a bounded number of
-  receive polls;
-* frames to a **crashed** party are lost while the outage lasts; a
-  permanently crashed party's own sends and receives raise
+* a **dropped** frame, or one lost to a **crash** outage, is
+  retransmitted through its channel -- recovery honestly pays wire
+  bytes;
+* a **corrupted** frame would fail authenticated open, so it is counted
+  and retransmitted the same way;
+* a **duplicated** frame's second copy is counted and never queued;
+* a **delayed** frame is counted and delivered in order;
+* a permanently crashed party's own sends and receives raise
   :class:`~repro.exceptions.PartyCrashError`.
 
-A lane whose frame cannot be recovered within the retry budget raises
+A frame the retry budget cannot save enters its lane as a lost-frame
+record, and the receive that takes it raises
 :class:`~repro.exceptions.LaneTimeoutError` naming the lane and the
-attempt count.  What the shim deliberately does *not* change: payload
-bytes, message order within a lane, and therefore every matrix a masked
-fault schedule produces -- the differential suite
-(``tests/test_fault_tolerance.py``) pins final results bit-identical to
-the fault-free run.  What it does change: total wire bytes (retransmits
-cost), nonce-to-frame assignment, and realized traces.
+attempt count; the other frames of its lane stay deliverable.  What
+recovery deliberately does *not* change: payload bytes, message order
+within a lane, and therefore every matrix a masked fault schedule
+produces -- the differential suite (``tests/test_fault_tolerance.py``)
+pins final results bit-identical to the fault-free run.  What it does
+change: total wire bytes (retransmits cost), nonce-to-frame assignment,
+and realized traces.
 
 ``latency`` models per-message link delay (sleep on send, outside all
 locks).  It exists for deployment realism: protocol rounds of a real
@@ -57,53 +56,19 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 from typing import Any, Mapping
 
 from repro.crypto.prng import ReseedablePRNG
 from repro.exceptions import ChannelError, LaneTimeoutError, PartyCrashError
 from repro.network.channel import Channel, Eavesdropper
 from repro.network.faults import FaultDecision, FaultPlan
-from repro.network.lanes import Lane, LaneInbox
+from repro.network.lanes import LaneInbox
 from repro.network.message import Message
 from repro.network.retry import RetryPolicy
 from repro.network.transport import Transport
 
-#: The fate of a transmission without a fault plan, and of one to a
-#: party that is down.
-_PERFECT = FaultDecision()
+#: The fate of a transmission to a party that is down.
 _LOST = FaultDecision(deliver=False)
-
-
-@dataclass
-class _Frame:
-    """One queued delivery: a message plus its wire-side fate.
-
-    ``crc`` is what "arrived" -- it equals ``message.crc`` unless the
-    fault layer tampered with the frame, in which case the receive
-    path's integrity check catches the mismatch.  ``status`` tracks
-    placeholder states: ``"dropped"`` (lost in flight, awaiting
-    retransmit) and ``"delayed"`` (deliverable after ``delay_polls``
-    receive polls).  Mutated only under the recipient's lock.
-    """
-
-    message: Message
-    seq: int
-    crc: int = 0
-    status: str = "ok"
-    delay_polls: int = 0
-    retransmits: int = 0
-
-    def arrive(self, message: Message, fate: FaultDecision) -> None:
-        """Record one transmission of this frame and what the links did
-        to it (``FaultPlan.decide`` never both corrupts and delays)."""
-        self.message = message
-        self.crc = message.crc ^ fate.tamper if fate.corrupt else message.crc
-        self.status, self.delay_polls = "ok", 0
-        if not fate.deliver:
-            self.status = "dropped"
-        elif fate.delay_polls:
-            self.status, self.delay_polls = "delayed", fate.delay_polls
 
 
 class Network(Transport):
@@ -128,19 +93,17 @@ class Network(Transport):
         self.latency = float(latency)
         #: Active fault schedule (``None`` = perfect links).
         self.fault_plan = fault_plan
-        #: Attempt budget and pacing of the receive loop's recovery.
+        #: Attempt budget and pacing of recovery at send.
         self.retry_policy = retry if retry is not None else RetryPolicy()
         # guarded-by: self._registry_lock
         self._parties: set[str] = set()
         # guarded-by: self._registry_lock
         self._channels: dict[frozenset[str], Channel] = {}
-        #: Per recipient: its lane inbox.  Registration populates the
-        #: dict; delivery mutates an inbox under its recipient's lock.
+        #: Per recipient: its lane inbox of messages and lost-frame
+        #: records.  Registration populates the dict; delivery mutates
+        #: an inbox under its recipient's lock.
         # guarded-by: self._registry_lock | self._locks[*]
-        self._inboxes: dict[str, LaneInbox[_Frame]] = {}
-        #: Per recipient: next outbound sequence number per lane.
-        # guarded-by: self._registry_lock | self._locks[*]
-        self._next_seq: dict[str, dict[Lane, int]] = {}
+        self._inboxes: dict[str, LaneInbox[Message | LaneTimeoutError]] = {}
         #: Per recipient: guards that recipient's inbox and counters.
         # guarded-by: self._registry_lock
         self._locks: dict[str, threading.Lock] = {}
@@ -183,7 +146,6 @@ class Network(Transport):
                 raise ChannelError(f"party {name!r} already registered")
             self._parties.add(name)
             self._inboxes[name] = LaneInbox(name)
-            self._next_seq[name] = {}
             self._locks[name] = threading.Lock()
 
     @property
@@ -231,48 +193,84 @@ class Network(Transport):
         """Route one message; it lands in the recipient's ``(sender,
         kind, tag)`` lane after the configured link latency.
 
-        With a fault plan installed the frame may instead be dropped,
-        duplicated, corrupted or delayed -- always leaving a placeholder
-        in the lane, so the receive loop can tell "lost in flight" from
-        "never sent" and recover the former by retransmit.
+        With a fault plan installed, a frame the links lose or damage is
+        retransmitted here until it arrives intact; one the retry budget
+        cannot save lands as a lost-frame record instead.
         """
         plan = self.fault_plan
         if plan is not None and plan.permanently_down(sender):
             raise PartyCrashError(
                 sender, f"party {sender!r} has crashed and cannot send {kind!r}"
             )
-        message = self.channel(sender, recipient).transmit(
-            sender, recipient, kind, tag, payload
-        )
+        channel = self.channel(sender, recipient)
+        message = channel.transmit(sender, recipient, kind, tag, payload)
         if self.latency:
             # Models time-in-flight.  Deliberately outside every lock:
             # messages of independent protocol runs overlap in flight,
             # which is the concurrency a real deployment has.
             time.sleep(self.latency)  # reprolint: disable=RL103 -- models time-in-flight only; no protocol value ever depends on the clock
         self._require_party(recipient)
-        fate = self._fate(sender, recipient, kind, tag, retransmission=False)
-        lane: Lane = (sender, kind, tag)
+        entry = message if plan is None else self._recover(plan, channel, message, payload)
         with self._locks[recipient]:
-            seqs = self._next_seq[recipient]
-            seq = seqs.get(lane, 0)
-            seqs[lane] = seq + 1
-            frame = _Frame(message=message, seq=seq)
-            frame.arrive(message, fate)
-            inbox = self._inboxes[recipient]
-            inbox.put(lane, frame)
-            if fate.duplicate and fate.deliver:
-                # A network-level duplicate: same wire frame twice, so it
-                # shares the original's seq/crc and charges no new bytes.
-                inbox.put(lane, _Frame(message=message, seq=seq, crc=frame.crc))
+            self._inboxes[recipient].put((sender, kind, tag), entry)
+
+    def _recover(
+        self, plan: FaultPlan, channel: Channel, message: Message, payload: Any
+    ) -> Message | LaneTimeoutError:
+        """Retransmit one frame until the links deliver it intact.
+
+        The first transmission is ``message``; every retransmission
+        re-sends the original payload through ``channel``, so recovery
+        never changes protocol bytes -- it only charges the wire again.
+        Returns the delivered message, or the lost-frame record once
+        the retry budget is spent or the recipient has crashed for good.
+        """
+        sender, recipient, kind, tag = message.sender, message.recipient, message.kind, message.tag
+        policy = self.retry_policy
+        started = policy.start_clock()
+        attempts = 1
+        fate = self._fate(plan, sender, recipient, kind, tag, retransmission=False)
+        while True:
+            if fate.deliver:
+                if fate.duplicate:
+                    self._bump("duplicates_suppressed")
+                if not fate.corrupt:
+                    if fate.delayed:
+                        self._bump("delayed_deliveries")
+                    return message
+                # Would fail authenticated open: handled like a drop.
+                self._bump("corrupt_detected")
+            if (
+                attempts >= policy.max_attempts
+                or policy.expired(started)
+                or plan.permanently_down(recipient)
+            ):
+                state = "corrupt" if fate.deliver else "lost"
+                return LaneTimeoutError(
+                    sender,
+                    recipient,
+                    kind,
+                    tag,
+                    attempts=attempts,
+                    reason=f"frame still {state} after {attempts - 1} retransmit(s)",
+                )
+            policy.backoff(attempts)
+            message = channel.transmit(sender, recipient, kind, tag, payload)
+            self._bump("retransmits")
+            attempts += 1
+            fate = self._fate(plan, sender, recipient, kind, tag, retransmission=True)
 
     def _fate(
-        self, sender: str, recipient: str, kind: str, tag: str, retransmission: bool
+        self,
+        plan: FaultPlan,
+        sender: str,
+        recipient: str,
+        kind: str,
+        tag: str,
+        retransmission: bool,
     ) -> FaultDecision:
-        """What the links do to one transmission (always a clean pass on
-        perfect links); frames to a party that is down are lost."""
-        plan = self.fault_plan
-        if plan is None:
-            return _PERFECT
+        """What the links do to one transmission; frames to a party that
+        is down are lost."""
         lost = plan.absorb_frame_to(recipient)
         fate = plan.decide(sender, recipient, kind, tag, retransmission=retransmission)
         if not lost:
@@ -280,50 +278,9 @@ class Network(Transport):
         self._bump("crash_losses")
         return _LOST
 
-    def _bump(self, counter: str, amount: int = 1) -> None:
+    def _bump(self, counter: str) -> None:
         with self._stats_lock:
-            self._rel_stats[counter] += amount
-
-    def _scan_locked(self, inbox: LaneInbox[_Frame], lane: Lane, frame: _Frame) -> str:
-        """Resolve a lane's head ``frame`` toward delivery (caller holds
-        the recipient's lock): ``"deliver"`` takes it and the duplicates
-        queued behind it; ``"wait"`` and ``"retransmit"`` leave it."""
-        if frame.status == "dropped":
-            return "retransmit"
-        if frame.status == "delayed":
-            frame.delay_polls -= 1
-            if frame.delay_polls > 0:
-                return "wait"
-            frame.status = "ok"
-            self._bump("delayed_deliveries")
-        if frame.crc != frame.message.crc:
-            # Integrity check on open failed: the frame was corrupted in
-            # flight.  Treat like a drop -- NACK and retransmit.
-            self._bump("corrupt_detected")
-            return "retransmit"
-        inbox.pop(lane)
-        while (dup := inbox.head(lane)) is not None and dup.seq <= frame.seq:
-            inbox.pop(lane)
-            self._bump("duplicates_suppressed")
-        return "deliver"
-
-    def _retransmit(self, recipient: str, lane: Lane, frame: _Frame) -> None:
-        """Re-send one lost/damaged frame through its channel.
-
-        The retransmitted payload is the original one, so recovery never
-        changes protocol bytes -- it only charges the wire again.  The
-        fault plan sees the retransmission too (crash outages absorb it;
-        rate faults only with ``fault_retransmits``).
-        """
-        sender, kind, tag = lane
-        message = self.channel(sender, recipient).transmit(
-            sender, recipient, kind, tag, frame.message.payload
-        )
-        fate = self._fate(sender, recipient, kind, tag, retransmission=True)
-        self._bump("retransmits")
-        with self._locks[recipient]:
-            frame.retransmits += 1
-            frame.arrive(message, fate)
+            self._rel_stats[counter] += 1
 
     def receive(
         self,
@@ -344,10 +301,9 @@ class Network(Transport):
         state so the mis-scheduling is diagnosable.  Nothing to take
         raises :class:`ProtocolError` at once.
 
-        The head is recovered first: lost or damaged frames are NACKed
-        and retransmitted under the :class:`RetryPolicy`, duplicates
-        are suppressed, and a lane that cannot be recovered raises
-        :class:`~repro.exceptions.LaneTimeoutError`.
+        Taking a lost-frame record raises its
+        :class:`~repro.exceptions.LaneTimeoutError` instead, before any
+        kind check, and counts it in ``frames_abandoned``.
         """
         self._require_party(recipient)
         plan = self.fault_plan
@@ -355,60 +311,17 @@ class Network(Transport):
             raise PartyCrashError(
                 recipient, f"party {recipient!r} has crashed and cannot receive"
             )
-        policy = self.retry_policy
-        started = policy.start_clock()
-        attempts = 0
-        while True:
-            with self._locks[recipient]:
-                inbox = self._inboxes[recipient]
-                lane = inbox.select(kind, sender, tag)
-                frame = inbox.head(lane) if lane is not None else None
-                if lane is None or frame is None:
-                    raise inbox.missing(kind, sender, tag)
-                action = self._scan_locked(inbox, lane, frame)
-                if action == "deliver":
-                    inbox.check_kind(lane, kind)
-                    return frame.message
-            # "retransmit" or "wait": spend one attempt, then recover.
-            attempts += 1
-            if attempts >= policy.max_attempts or policy.expired(started):
-                reason = (
-                    f"frame seq {frame.seq} still {frame.status!r} "
-                    f"after {frame.retransmits} retransmit(s)"
-                )
-                # Abandon the dead frame and its lane: nobody will ever
-                # receive them, so pending()/drain() must not count them.
-                self._abandon_frame(recipient, lane, frame)
-                lane_sender, lane_kind, lane_tag = lane
-                raise LaneTimeoutError(
-                    lane_sender,
-                    recipient,
-                    lane_kind,
-                    lane_tag,
-                    attempts=attempts,
-                    reason=reason,
-                )
-            policy.backoff(attempts)
-            if action == "retransmit":
-                self._retransmit(recipient, lane, frame)
-
-    def _abandon_frame(self, recipient: str, lane: Lane, frame: _Frame) -> None:
-        """Discard an unrecoverable frame *and the lane queued behind it*.
-
-        A lane is FIFO: once its head has exhausted the retry budget,
-        every frame queued behind the dead head belongs to the same
-        protocol run the degraded scheduler is about to cancel -- nobody
-        will ever pop them.  Purging the whole lane (counted in
-        ``reliability_stats()["frames_abandoned"]``) keeps
-        :meth:`pending`/:meth:`drain`/:meth:`assert_drained` honest
-        after a *tolerated* timeout: the network reports clean instead
-        of leaking the abandoned entries forever.
-        """
         with self._locks[recipient]:
             inbox = self._inboxes[recipient]
-            abandoned = inbox.discard(lane) if inbox.head(lane) is frame else 0
-        if abandoned:
-            self._bump("frames_abandoned", abandoned)
+            lane = inbox.select(kind, sender, tag)
+            if lane is None:
+                raise inbox.missing(kind, sender, tag)
+            entry = inbox.pop(lane)
+            if isinstance(entry, Message):
+                inbox.check_kind(lane, kind)
+                return entry
+        self._bump("frames_abandoned")
+        raise entry
 
     def pending(self, recipient: str) -> int:
         """Number of undelivered messages for a party."""
@@ -433,7 +346,7 @@ class Network(Transport):
         return dropped
 
     def reliability_stats(self) -> dict[str, int]:
-        """Recovery counters of the reliable shim (all zero on perfect links)."""
+        """Recovery counters (all zero on perfect links)."""
         with self._stats_lock:
             return dict(self._rel_stats)
 
@@ -449,7 +362,7 @@ class Network(Transport):
         """
         positions: dict[str, int] = {}
         for link, channel in self._channels.items():
-            draws = channel.entropy_draws()
+            draws = channel.link.nonce_draws
             if draws is not None:
                 a, b = sorted(link)
                 positions[f"{a}|{b}"] = draws
@@ -459,7 +372,7 @@ class Network(Transport):
         """Fast-forward link nonce entropies to checkpointed positions."""
         for label, target in positions.items():
             a, _, b = label.partition("|")
-            self.channel(a, b).advance_entropy(int(target))
+            self.channel(a, b).link.advance(int(target))
 
     # -- accounting ------------------------------------------------------------
 

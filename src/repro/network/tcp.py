@@ -48,7 +48,6 @@ import contextlib
 import hashlib
 import os
 import threading
-import zlib
 from collections import deque
 from typing import Any, Mapping
 
@@ -644,7 +643,6 @@ class SocketTransport(Transport):
             payload=deserialize(plain),
             wire_bytes=len(frame.body),
             sealed=cipher.secure,
-            crc=zlib.crc32(plain),
         )
         with self._cond:
             peer.delivered = frame.seq + 1

@@ -36,10 +36,11 @@ local party, which chooses what a receive takes and words its errors.
   are transport-independent: the socket gate test pins a 3-process
   session's per-lane transcript byte-identical to the simulator's.
 
-Recovery stays per transport because the faults differ: the simulator
-NACKs and retransmits injected per-frame faults lane by lane, and the
-socket transport replays its per-connection outbox after a lost
-connection.
+Each transport recovers where its faults are known.  The simulator's
+links are synchronous, so its send retransmits a faulted frame at once
+and a receive only takes; the socket transport's connections break
+asynchronously, so it keeps per-connection sequence numbers, acks and a
+replay outbox -- the one reliability protocol in the package.
 """
 
 from __future__ import annotations

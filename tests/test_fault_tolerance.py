@@ -11,6 +11,8 @@ reports instead of wrong answers.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
@@ -93,8 +95,6 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             FaultPlan(seed=1, drop=1.5)
         with pytest.raises(ConfigurationError):
-            FaultPlan(seed=1, max_delay_polls=0)
-        with pytest.raises(ConfigurationError):
             FaultPlan(seed=1, script={("A", "B", "k"): ("explode",)})
         with pytest.raises(ConfigurationError):
             FaultRule(corrupt=-0.1)
@@ -105,6 +105,13 @@ class TestFaultPlan:
         with pytest.raises(ConfigurationError):
             FaultPlan.preset("tsunami", seed=1)
         assert set(PRESETS) == {"lossy", "crashy"}
+
+    def test_scripts_reject_a_delay_count(self):
+        with pytest.raises(ConfigurationError, match="delay:2"):
+            FaultPlan(seed=1, script={("A", "B", "k"): ("delay:2",)})
+        assert FaultPlan(seed=1, script={("A", "B", "k"): ("delay",)}).decide(
+            "A", "B", "k", "t"
+        ).delayed
 
     def test_same_seed_same_decisions(self):
         """A plan is a pure function of (seed, lane, frame ordinal)."""
@@ -156,11 +163,11 @@ class TestFaultPlan:
         assert plan.decide("A", "B", "k", "t").deliver
         assert not plan.decide("A", "B", "other", "t").deliver
 
-    def test_corrupt_tamper_mask_is_nonzero(self):
+    def test_corrupt_rate_one_corrupts_and_delivers_every_frame(self):
         plan = FaultPlan(seed=1, corrupt=1.0)
         for _ in range(20):
             decision = plan.decide("A", "B", "k", "t")
-            assert decision.corrupt and decision.tamper != 0
+            assert decision.corrupt and decision.deliver
 
     def test_transient_crash_absorbs_then_recovers(self):
         plan = FaultPlan(seed=1, crashes=(CrashEvent("B", after_frames=1, down_for=2),))
@@ -221,8 +228,8 @@ class TestReliableDelivery:
         assert net.receive("B", kind="blob", sender="A", tag="t").payload == 5
         assert net.reliability_stats()["retransmits"] == 1
 
-    def test_delay_delivered_after_polls(self):
-        net = _reliable_net(script={("A", "B", "blob"): ("delay:2",)})
+    def test_delay_delivered_and_counted(self):
+        net = _reliable_net(script={("A", "B", "blob"): ("delay",)})
         net.send("A", "B", "blob", 5, tag="t")
         assert net.receive("B", kind="blob", sender="A", tag="t").payload == 5
         assert net.reliability_stats()["delayed_deliveries"] == 1
@@ -285,6 +292,65 @@ class TestReliableDelivery:
         net.assert_drained()
 
 
+# -- recovery at send ----------------------------------------------------------
+
+
+class TestRecoveryAtSend:
+    def test_drop_is_retransmitted_inside_send(self):
+        net = _reliable_net(script={("A", "B", "blob"): ("drop",)})
+        net.send("A", "B", "blob", 5, tag="t")
+        assert net.reliability_stats()["retransmits"] == 1
+        assert net.pending("B") == 1
+
+    def test_pending_ignores_a_suppressed_duplicate(self):
+        net = _reliable_net(script={("A", "B", "blob"): ("duplicate",)})
+        net.send("A", "B", "blob", 5, tag="t")
+        assert net.pending("B") == 1
+        assert net.reliability_stats()["duplicates_suppressed"] == 1
+
+    def test_lost_frame_takes_only_itself(self):
+        """Two runs' frames share a lane; losing the first leaves the
+        second deliverable."""
+        net = _reliable_net(
+            script={("A", "B", "blob"): ("drop", "pass")},
+            retry=RetryPolicy(max_attempts=1),
+        )
+        net.send("A", "B", "blob", "first", tag="t")
+        net.send("A", "B", "blob", "second", tag="t")
+        with pytest.raises(LaneTimeoutError) as exc:
+            net.receive("B", kind="blob", sender="A", tag="t")
+        assert exc.value.attempts == 1
+        assert net.receive("B", kind="blob", sender="A", tag="t").payload == "second"
+        net.assert_drained()
+        assert net.reliability_stats()["frames_abandoned"] == 1
+
+    def test_racing_receives_retransmit_each_frame_once(self):
+        """Two receives racing on one lane: each dropped frame still
+        costs exactly one retransmission."""
+        net = _reliable_net(
+            script={("A", "B", "blob"): ("drop", "drop")},
+            retry=RetryPolicy(max_attempts=4, backoff_base=0.05),
+        )
+        net.send("A", "B", "blob", 1, tag="t")
+        net.send("A", "B", "blob", 2, tag="t")
+        barrier = threading.Barrier(2)
+        received = []
+
+        def receive():
+            barrier.wait()
+            received.append(net.receive("B", kind="blob", sender="A", tag="t").payload)
+
+        threads = [threading.Thread(target=receive) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert sorted(received) == [1, 2]
+        assert net.reliability_stats()["retransmits"] == 2
+        # Two originals and two retransmissions of a one-int payload.
+        assert net.total_bytes() == 4 * len(serialize(1))
+
+
 # -- masked faults: bit-identical results ------------------------------------
 
 
@@ -325,6 +391,60 @@ class TestMaskedFaultDeterminism:
         assert _fingerprint(session, session.run()) == clean_fingerprint
 
 
+# -- recovery accounting -----------------------------------------------------
+
+_RECOVERY = ("retransmits", "corrupt_detected", "delayed_deliveries", "duplicates_suppressed")
+
+
+def _recovery(network: Network) -> tuple[int, ...]:
+    stats = network.reliability_stats()
+    assert stats["crash_losses"] == stats["frames_abandoned"] == 0
+    return tuple(stats[name] for name in _RECOVERY)
+
+
+class TestRecoveryAccounting:
+    """Exact counts and wire bytes under the lossy preset: every faulted
+    frame costs exactly one clean retransmission."""
+
+    @pytest.mark.parametrize(
+        "seed, wire_bytes, counts",
+        [
+            (55, 5148, (3, 1, 7, 1)),
+            (101, 5445, (6, 3, 3, 0)),
+            (2025, 5518, (6, 2, 2, 2)),
+        ],
+    )
+    def test_lossy_session(self, seed, wire_bytes, counts):
+        session = _session(fault_plan=FaultPlan.preset("lossy", seed=seed))
+        session.run()
+        assert _recovery(session.network) == counts
+        assert session.total_bytes() == wire_bytes
+
+    def test_lossy_parallel_ingest(self):
+        suite = ProtocolSuiteConfig(construction_schedule="parallel")
+        config = SessionConfig(num_clusters=2, master_seed=3, max_workers=2, suite=suite)
+        service = ClusteringService(config, _partitions())
+        network = service.session.network
+        network.install_fault_plan(FaultPlan.preset("lossy", seed=77))
+        service.ingest({"B": DataMatrix(SCHEMA, [[9, "ACGG", "c1"], [4, "TTGA", "c2"]])})
+        assert _recovery(network) == (4, 2, 1, 0)
+        assert network.total_bytes() == 7689
+
+    @pytest.mark.parametrize("seed", [55, 101, 2025])
+    def test_lossy_counts_do_not_depend_on_the_schedule(self, seed):
+        # Byte totals can: which of a shared lane's blocks meets the
+        # lane's n-th fate depends on the order the schedule sends them.
+        def counts(schedule: str, workers: int) -> tuple[int, ...]:
+            plan = FaultPlan.preset("lossy", seed=seed)
+            session = _session(schedule=schedule, fault_plan=plan, workers=workers)
+            session.run()
+            return _recovery(session.network)
+
+        sequential = counts("sequential", 2)
+        for workers in (1, 2, 3, 4):
+            assert counts("parallel", workers) == sequential
+
+
 # -- unmaskable faults: precise degradation ----------------------------------
 
 
@@ -359,6 +479,25 @@ class TestDegradedConstruction:
         survivors = session.third_party.merged_matrix(attributes=["city"])
         assert session.final_matrix() == survivors
         assert result.to_payload()
+
+    @pytest.mark.parametrize("schedule", ["sequential", "parallel"])
+    def test_dead_shared_lane_loses_only_its_attribute(self, schedule):
+        """C's numeric comparison lane into the TP carries both the A-C
+        and the B-C block; losing both fails ``num`` alone."""
+        plan = FaultPlan(
+            seed=7,
+            rules=(
+                FaultRule(sender="C", recipient="TP", kind="comparison_matrix", drop=1.0),
+            ),
+            fault_retransmits=True,
+        )
+        session = _session(schedule=schedule, fault_plan=plan, tolerate=True)
+        session.run()
+        report = session.degraded_report
+        assert report.failed_attributes == ("num",)
+        assert report.completed_attributes == ("dna", "city")
+        assert session.network.reliability_stats()["frames_abandoned"] == 2
+        session.network.assert_drained()
 
     def test_intolerant_session_still_aborts(self):
         session = _session(fault_plan=self._dead_lane_plan(), tolerate=False)

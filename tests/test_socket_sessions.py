@@ -12,13 +12,16 @@ completes degraded.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
+import string
 import sys
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.cluster import (
     ClusterSupervisor,
@@ -432,6 +435,29 @@ def _service():
     return ClusteringService(_config(), _partitions())
 
 
+@functools.lru_cache(maxsize=None)
+def _snapshot_blob() -> bytes:
+    return _service().snapshot()
+
+
+_SECTIONS = (
+    "epoch",
+    "sites",
+    "holder_rows",
+    "third_party",
+    "group_keys",
+    "channel_entropy",
+    "holder_entropy",
+)
+#: Replacement values; integers stay small because a restore fast-forwards
+#: entropy streams word by word.
+_JUNK = st.one_of(
+    st.integers(min_value=-3, max_value=5000),
+    st.text(alphabet=string.ascii_letters + "|", max_size=4),
+    st.lists(st.integers(min_value=-3, max_value=5000), max_size=3),
+)
+
+
 class TestSnapshotErrors:
     def test_truncated_blob(self):
         blob = _service().snapshot()
@@ -476,6 +502,45 @@ class TestSnapshotErrors:
         state = deserialize(_service().snapshot())
         state["sites"]["alpha"] = 99
         with pytest.raises(SnapshotError, match="disagree with its recorded size"):
+            ClusteringService.restore(_config(), SCHEMA, serialize(state))
+
+    @settings(max_examples=80, deadline=None)
+    @given(section=st.sampled_from(_SECTIONS), data=st.data())
+    def test_mistyped_section_raises_only_snapshot_error(self, section, data):
+        state = deserialize(_snapshot_blob())
+        keys = sorted(state[section]) if isinstance(state[section], dict) else []
+        unknown = st.text(alphabet=string.ascii_letters + "|", max_size=4).filter(
+            lambda key: key not in keys
+        )
+        state[section] = data.draw(
+            st.one_of(
+                _JUNK,
+                st.dictionaries(unknown, _JUNK, min_size=1, max_size=2),
+                st.fixed_dictionaries({key: _JUNK for key in keys}),
+            )
+        )
+        try:
+            ClusteringService.restore(_config(), SCHEMA, serialize(state))
+        except SnapshotError:
+            pass
+
+    @pytest.mark.parametrize(
+        "section, value",
+        [
+            ("sites", 5),
+            ("channel_entropy", 7),
+            ("channel_entropy", {"alpha|TP": "zz"}),
+            ("channel_entropy", {"alpha|Q": 3}),
+            ("holder_entropy", {"Z": 3}),
+            ("group_keys", {"Z": b"k"}),
+            ("third_party", 3),
+            ("epoch", "x"),
+        ],
+    )
+    def test_mistyped_section_is_named(self, section, value):
+        state = deserialize(_snapshot_blob())
+        state[section] = value
+        with pytest.raises(SnapshotError, match=section):
             ClusteringService.restore(_config(), SCHEMA, serialize(state))
 
     def test_snapshot_error_is_a_configuration_error(self):

@@ -350,13 +350,13 @@ class TestSessionTranscriptEquality:
         assert fast_session.total_bytes() == seed_session.total_bytes()
 
     def test_scalar_transport_restores_state(self):
-        from repro.network import channel
+        from repro.network import handshake
 
-        before = channel.SymmetricCipher
+        before = handshake.SymmetricCipher
         with scalar_transport():
-            assert channel.SymmetricCipher is ScalarSymmetricCipher
+            assert handshake.SymmetricCipher is ScalarSymmetricCipher
             assert serialization._FAST_PATHS is False
-        assert channel.SymmetricCipher is before
+        assert handshake.SymmetricCipher is before
         assert serialization._FAST_PATHS is True
 
     def test_scalar_channel_matches_fast_channel(self):
