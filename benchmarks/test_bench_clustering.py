@@ -52,15 +52,6 @@ AGGLOMERATIVE_N = int(os.environ.get("CLUSTERING_BENCH_N", "3500"))
 PAM_N = int(os.environ.get("CLUSTERING_PAM_N", "1500"))
 
 
-def _best_of(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _matrix(n: int, seed: int = 42) -> DissimilarityMatrix:
     rng = np.random.default_rng(seed)
     points = rng.normal(size=(n, 4))
@@ -68,7 +59,7 @@ def _matrix(n: int, seed: int = 42) -> DissimilarityMatrix:
     return DissimilarityMatrix.from_square(square)
 
 
-def test_agglomerative_speedup(table, bench_store):
+def test_agglomerative_speedup(table, bench_store, alternating):
     """>= 10x on hierarchical clustering, dendrogram identical."""
     n = AGGLOMERATIVE_N
     matrix = _matrix(n)
@@ -78,7 +69,7 @@ def test_agglomerative_speedup(table, bench_store):
     seed_dendrogram = reference_agglomerative(matrix, "average")
     seed_time = time.perf_counter() - start
     assert fast.merges == seed_dendrogram.merges, "dendrogram diverged from seed"
-    fast_time = _best_of(lambda: agglomerative(matrix, "average"))
+    fast_time = alternating(lambda: agglomerative(matrix, "average"))[0]
 
     speedup = seed_time / fast_time
     table(
@@ -108,7 +99,7 @@ def test_agglomerative_speedup(table, bench_store):
     )
 
 
-def test_kmedoids_speedup(table, bench_store):
+def test_kmedoids_speedup(table, bench_store, alternating):
     """>= 10x on PAM, identical medoids/labels (same SWAP trajectory)."""
     n, k, iterations = PAM_N, 8, 3
     matrix = _matrix(n, seed=7)
@@ -121,7 +112,7 @@ def test_kmedoids_speedup(table, bench_store):
     assert fast.medoids == seed_result.medoids
     assert fast.iterations == seed_result.iterations
     assert abs(fast.cost - seed_result.cost) <= 1e-9
-    fast_time = _best_of(lambda: k_medoids(matrix, k, max_iterations=iterations))
+    fast_time = alternating(lambda: k_medoids(matrix, k, max_iterations=iterations))[0]
 
     speedup = seed_time / fast_time
     table(
@@ -152,7 +143,7 @@ def test_kmedoids_speedup(table, bench_store):
     )
 
 
-def test_quality_metrics_speedup(table, bench_store):
+def test_quality_metrics_speedup(table, bench_store, alternating):
     """Condensed-array metrics vs the seed's nested pair loops."""
     n = min(PAM_N, 1500)
     matrix = _matrix(n, seed=11)
@@ -169,14 +160,14 @@ def test_quality_metrics_speedup(table, bench_store):
         reference_cophenetic_correlation(matrix, dendrogram), abs=1e-9
     )
 
-    sil_seed = _best_of(lambda: reference_silhouette_score(matrix, labels), repeats=1)
-    sil_fast = _best_of(lambda: quality.silhouette_score(matrix, labels))
-    pairs_seed = _best_of(lambda: reference_pair_counts(truth, labels), repeats=1)
-    pairs_fast = _best_of(lambda: quality._pair_counts(truth, labels))
-    coph_seed = _best_of(
+    sil_seed = alternating(lambda: reference_silhouette_score(matrix, labels), repeats=1)[0]
+    sil_fast = alternating(lambda: quality.silhouette_score(matrix, labels))[0]
+    pairs_seed = alternating(lambda: reference_pair_counts(truth, labels), repeats=1)[0]
+    pairs_fast = alternating(lambda: quality._pair_counts(truth, labels))[0]
+    coph_seed = alternating(
         lambda: reference_cophenetic_correlation(matrix, dendrogram), repeats=1
-    )
-    coph_fast = _best_of(lambda: quality.cophenetic_correlation(matrix, dendrogram))
+    )[0]
+    coph_fast = alternating(lambda: quality.cophenetic_correlation(matrix, dendrogram))[0]
 
     rows = [
         ("silhouette", sil_seed, sil_fast, 2.0),

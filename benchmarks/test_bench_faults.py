@@ -21,7 +21,6 @@ artifact; ``check_gates.py`` fails if it goes missing).
 from __future__ import annotations
 
 import os
-import time
 
 import pytest
 
@@ -65,21 +64,12 @@ def _session(fault_plan: FaultPlan | None) -> ClusteringSession:
     return ClusteringSession(config, _partitions(), fault_plan=fault_plan)
 
 
-def _best_of(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
 def _lossy_plan() -> FaultPlan:
     return FaultPlan.preset("lossy", seed=2025, parties=("A", "B", "C"))
 
 
 @pytest.mark.benchmark(group="faults")
-def test_bench_masked_fault_overhead(table, bench_store):
+def test_bench_masked_fault_overhead(table, bench_store, alternating):
     # Contract first: the lossy run must land on the clean run's bits.
     clean_session = _session(None)
     clean_result = clean_session.run()
@@ -91,8 +81,8 @@ def test_bench_masked_fault_overhead(table, bench_store):
     assert stats["retransmits"] > 0, "preset injected nothing to recover"
     overhead = lossy_session.total_bytes() / clean_session.total_bytes()
 
-    clean_time = _best_of(lambda: _session(None).run())
-    lossy_time = _best_of(lambda: _session(_lossy_plan()).run())
+    clean_time = alternating(lambda: _session(None).run())[0]
+    lossy_time = alternating(lambda: _session(_lossy_plan()).run())[0]
     efficiency = clean_time / lossy_time
 
     table(
@@ -130,15 +120,15 @@ def test_bench_masked_fault_overhead(table, bench_store):
 
 
 @pytest.mark.benchmark(group="faults")
-def test_bench_checkpoint_roundtrip(table, bench_store):
+def test_bench_checkpoint_roundtrip(table, bench_store, alternating):
     config = SessionConfig(num_clusters=2, master_seed=17)
     service = ClusteringService(config, _partitions())
 
     blob = service.snapshot()
-    snapshot_time = _best_of(service.snapshot)
-    restore_time = _best_of(
+    snapshot_time = alternating(service.snapshot)[0]
+    restore_time = alternating(
         lambda: ClusteringService.restore(config, SCHEMA, blob)
-    )
+    )[0]
     resumed = ClusteringService.restore(config, SCHEMA, blob)
     assert resumed.matrix() == service.matrix()
 

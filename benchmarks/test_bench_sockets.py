@@ -29,7 +29,6 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-import time
 
 from repro.apps.cluster import ClusterSupervisor, unix_addresses
 from repro.core.config import SessionConfig
@@ -71,15 +70,6 @@ def _workload():
     rows = {"siteA": _rows(1), "siteB": _rows(2)}
     config = SessionConfig(num_clusters=3, master_seed=61)
     return config, rows
-
-
-def _best_of(fn, repeats: int = 2) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _run_threaded(spec: bytes) -> dict[str, dict]:
@@ -145,7 +135,7 @@ def _simulator_reference(config, rows):
     return lanes, result
 
 
-def test_processes_vs_threads_throughput(tmp_path, table, bench_store):
+def test_processes_vs_threads_throughput(tmp_path, table, bench_store, alternating):
     """Threaded mesh vs supervised process cluster on one session spec.
 
     Equality first (three-way: simulator, threads, processes), timing
@@ -177,8 +167,8 @@ def test_processes_vs_threads_throughput(tmp_path, table, bench_store):
         _spec_for(run_dir, config, rows)
         _run_processes(run_dir)
 
-    threads_time = _best_of(timed_threads)
-    process_time = _best_of(timed_processes)
+    threads_time = alternating(timed_threads, repeats=2)[0]
+    process_time = alternating(timed_processes, repeats=2)[0]
     efficiency = threads_time / process_time
 
     total_rows = sum(len(r) for r in rows.values())

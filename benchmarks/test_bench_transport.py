@@ -29,7 +29,6 @@ artifact) to start the perf trajectory.
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -55,15 +54,6 @@ MESSAGE_BYTES = 1 << 18  # 256 KiB: the scale of an O(n^2) protocol payload
 #: on timing noise; local/acceptance runs keep the full bars.
 SPEEDUP_BAR = float(os.environ.get("TRANSPORT_SPEEDUP_BAR", "5.0"))
 SESSION_BAR = float(os.environ.get("TRANSPORT_SESSION_BAR", "1.3"))
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _message() -> bytes:
@@ -263,7 +253,7 @@ def _run_session(batch: SessionBatch, partitions, with_taps: bool = False):
     return session, result, taps
 
 
-def test_end_to_end_session_speedup(table, bench_store):
+def test_end_to_end_session_speedup(table, bench_store, alternating):
     """A sealed-channel clustering session, fast vs seed transport.
 
     DH setup is shared through one :class:`SessionBatch` per transport,
@@ -292,9 +282,9 @@ def test_end_to_end_session_speedup(table, bench_store):
     }
     assert fast_tags == seed_session.network.bytes_by_tag()
 
-    fast_time = _best_of(lambda: _run_session(batch, partitions))
+    fast_time = alternating(lambda: _run_session(batch, partitions))[0]
     with scalar_transport():
-        seed_time = _best_of(lambda: _run_session(seed_batch, partitions), repeats=2)
+        seed_time = alternating(lambda: _run_session(seed_batch, partitions), repeats=2)[0]
 
     speedup = seed_time / fast_time
     table(

@@ -12,7 +12,6 @@ a 5x speedup on protocol construction, with byte-identical messages
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -34,15 +33,6 @@ LENGTH = 32
 #: runners, so CI lowers the gate via this env var instead of turning
 #: red on timing noise; local/acceptance runs keep the full bar.
 SPEEDUP_BAR = float(os.environ.get("VECTORIZED_SPEEDUP_BAR", "5.0"))
-
-
-def _best_of(fn, repeats: int = 3) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
 
 
 def _numeric_inputs():
@@ -89,7 +79,7 @@ def test_numeric_construction_speedup(table, alternating):
     )
 
 
-def test_alphanumeric_construction_speedup(table):
+def test_alphanumeric_construction_speedup(table, alternating):
     strings_j = _dna_strings(1)
     strings_k = _dna_strings(2)
 
@@ -115,8 +105,8 @@ def test_alphanumeric_construction_speedup(table):
         return alnum_vec.third_party_distances(matrices, DNA_ALPHABET, make_prng(1))
 
     assert np.asarray(scalar_run()).tolist() == vectorized_run().tolist()
-    scalar = _best_of(scalar_run, repeats=2)
-    vectorized = _best_of(vectorized_run)
+    scalar = alternating(scalar_run, repeats=2)[0]
+    vectorized = alternating(vectorized_run)[0]
     speedup = scalar / vectorized
     table(
         "T-VEC: alphanumeric construction phase (16x16 DNA strings, length 32)",
@@ -132,7 +122,7 @@ def test_alphanumeric_construction_speedup(table):
     )
 
 
-def test_block_draw_speedup_hash_drbg(table):
+def test_block_draw_speedup_hash_drbg(table, alternating):
     """Block word generation vs scalar draws for the default DRBG."""
     count = 50_000
 
@@ -144,8 +134,8 @@ def test_block_draw_speedup_hash_drbg(table):
     def block_run():
         make_prng("bench").next_words(count)
 
-    scalar = _best_of(scalar_run, repeats=2)
-    block = _best_of(block_run)
+    scalar = alternating(scalar_run, repeats=2)[0]
+    block = alternating(block_run)[0]
     speedup = scalar / block
     table(
         "T-VEC: HashDRBG word generation (50k words)",

@@ -22,13 +22,12 @@ of the two values -- and the stateful differential suite
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from repro.core.config import SessionConfig
-from repro.core.delta import DeltaPlan, SiteGrowth, construct_attributes_delta
+from repro.core.delta import DeltaPlan, SiteGrowth
 from repro.core.results import ClusteringResult
-from repro.core.session import ClusteringSession
+from repro.core.session import ClusteringSession, restoring
 from repro.crypto.keys import PairwiseSecret
 from repro.data.matrix import DataMatrix, Schema
 from repro.data.partition import GlobalIndex
@@ -75,18 +74,6 @@ def _check_sections(state: dict[str, Any]) -> None:
                 f"snapshot sections 'sites' and {name!r} disagree on the "
                 f"consortium ({sorted(state['sites'])} vs {sorted(state[name])})"
             )
-
-
-@contextmanager
-def _installing(section: str) -> Iterator[None]:
-    """Turn a failure to install one snapshot section into a
-    :class:`SnapshotError` that names the section."""
-    try:
-        yield
-    except Exception as exc:
-        raise SnapshotError(
-            f"snapshot section {section!r} does not fit the restored session: {exc}"
-        ) from exc
 
 
 class ClusteringService:
@@ -192,15 +179,7 @@ class ClusteringService:
                 for site in session.index.sites
             },
             "third_party": session.third_party.snapshot_state(),
-            "group_keys": {
-                site: session.holders[site].group_key_bytes()
-                for site in session.index.sites
-            },
-            "channel_entropy": session.network.channel_entropy_positions(),
-            "holder_entropy": {
-                site: session.holders[site].entropy_draws()
-                for site in session.index.sites
-            },
+            **session.setup_state(),
         }
         return serialize(state)
 
@@ -278,16 +257,9 @@ class ClusteringService:
         session = ClusteringSession(
             config, partitions, tp_name=tp_name, shared_secrets=shared_secrets
         )
-        with _installing("third_party"):
+        with restoring("third_party"):
             session.third_party.restore_state(state["third_party"])
-        for site, group_key in state["group_keys"].items():
-            if group_key is not None:
-                session.holders[site].install_group_key(group_key)
-        with _installing("channel_entropy"):
-            session.network.advance_channel_entropy(state["channel_entropy"])
-        with _installing("holder_entropy"):
-            for site, target in state["holder_entropy"].items():
-                session.holders[site].advance_entropy(target)
+        session.restore_setup(state)
         session._constructed = True
         service._session = session
         service._epoch = state["epoch"]
@@ -346,18 +318,7 @@ class ClusteringService:
             session.holders[site].ingest_rows(batch)
             session.partitions[site] = session.holders[site].matrix
         session.index = new_index
-        outcome = construct_attributes_delta(
-            session.schema,
-            session.holders,
-            session.third_party,
-            plan,
-            policy=session.config.suite.construction_schedule,
-            max_workers=session.config.max_workers,
-            tolerate_faults=session.config.suite.tolerate_faults,
-            watchdog_timeout=session.config.watchdog_timeout,
-        )
-        self.delta_trace = list(outcome.trace)
-        session.degraded_report = outcome.report
+        self.delta_trace = list(session.construct(plan).trace)
         session.third_party.end_delta()
         if recluster:
             return self.recluster()

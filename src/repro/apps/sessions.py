@@ -17,8 +17,8 @@ from repro.apps.linkage import LinkageMatch, private_record_linkage
 from repro.apps.outliers import OutlierReport, knn_outliers
 from repro.core.config import SessionConfig
 from repro.core.results import ClusteringResult
-from repro.core.session import ClusteringSession, session_entropy
-from repro.crypto.keys import PairwiseSecret, agree_pairwise
+from repro.core.session import ClusteringSession, pairwise_secrets
+from repro.crypto.keys import PairwiseSecret
 from repro.data.matrix import DataMatrix
 from repro.exceptions import ConfigurationError
 
@@ -61,12 +61,8 @@ class SessionBatch:
         self.config = config
         self.sites = sites
         self.tp_name = tp_name
-        names = sorted(sites) + [tp_name]
-        self._secrets: dict[tuple[str, str], PairwiseSecret] = agree_pairwise(
-            {
-                name: session_entropy(config.master_seed, f"dh|{name}")
-                for name in names
-            }
+        self._secrets: dict[tuple[str, str], PairwiseSecret] = pairwise_secrets(
+            config.master_seed, sorted(sites) + [tp_name]
         )
 
     def session(self, partitions: Mapping[str, DataMatrix]) -> ClusteringSession:

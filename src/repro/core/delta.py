@@ -45,14 +45,10 @@ matrices, the weighted merge, and every clustering derived from them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from repro.core.scheduler import ConstructionOutcome, ConstructionScheduler
-from repro.data.matrix import AttributeSpec
 from repro.data.partition import GlobalIndex
 from repro.exceptions import ConfigurationError
-from repro.parties.holder import DataHolder
-from repro.parties.third_party import ThirdParty
 
 
 @dataclass(frozen=True)
@@ -92,10 +88,6 @@ class DeltaPlan:
         if not any(g.added for g in self.growth.values()):
             raise ConfigurationError("delta plan has no arrivals")
 
-    def grown_sites(self) -> list[str]:
-        """Sites with arrivals this epoch, in canonical order."""
-        return [site for site in sorted(self.growth) if self.growth[site].added]
-
     def site(self, name: str) -> SiteGrowth:
         try:
             return self.growth[name]
@@ -119,36 +111,3 @@ class DeltaPlan:
             offset = index.offset_of(site)
             positions.extend(range(offset + growth.old_size, offset + growth.new_size))
         return positions
-
-
-def construct_attributes_delta(
-    specs: Iterable[AttributeSpec],
-    holders: Mapping[str, DataHolder],
-    third_party: ThirdParty,
-    plan: DeltaPlan,
-    policy: str = "sequential",
-    max_workers: int = 4,
-    tolerate_faults: bool = False,
-    watchdog_timeout: float | None = None,
-) -> ConstructionOutcome:
-    """Run the delta rounds for one ingest epoch under one schedule.
-
-    The same step-graph executor as the full construction drives the
-    delta: ``"sequential"`` replays registration order, and
-    ``"parallel"`` executes local tails and sub-column protocol rounds on
-    the scheduler's ``max_workers``-thread pool -- so ingest epochs
-    parallelize exactly like initial construction.  Returns the realized
-    step schedule and its degradation report, as
-    :func:`repro.core.construction.construct_attributes` does.
-    """
-    scheduler = ConstructionScheduler(
-        holders,
-        third_party,
-        policy=policy,
-        max_workers=max_workers,
-        tolerate_faults=tolerate_faults,
-        watchdog_timeout=watchdog_timeout,
-    )
-    for spec in specs:
-        scheduler.add_attribute_delta(spec, plan)
-    return scheduler.run()

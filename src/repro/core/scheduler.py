@@ -81,7 +81,7 @@ SCHEDULE_POLICIES = ("sequential", "parallel")
 
 #: Failures a fault-tolerant run degrades on (everything else still
 #: aborts: a wrong matrix is never an acceptable degradation).
-_FAULT_ERRORS = (PartyCrashError, LaneTimeoutError)
+FAULT_ERRORS = (PartyCrashError, LaneTimeoutError)
 
 # Wave ranks for the parallel policy's submission order: steps of one wave
 # across all attributes and pairs are submitted before the next wave's.
@@ -533,7 +533,7 @@ class ConstructionScheduler:
                 continue
             try:
                 step.run()
-            except _FAULT_ERRORS as exc:
+            except FAULT_ERRORS as exc:
                 if not self.tolerate_faults:
                     raise
                 failed[step.name] = f"{type(exc).__name__}: {exc}"
@@ -562,7 +562,7 @@ class _ParallelRun:
 
     Failure handling: by default a step failure stops submission, drains
     in-flight work and re-raises the original exception.  With
-    ``tolerate_faults``, a step failing with one of :data:`_FAULT_ERRORS`
+    ``tolerate_faults``, a step failing with one of :data:`FAULT_ERRORS`
     instead records the failure, transitively cancels its dependents and
     lets independent steps keep running.  ``watchdog_timeout`` bounds how
     long the submission loop waits without any step completing before it
@@ -626,7 +626,7 @@ class _ParallelRun:
         with self._wake:
             self._running -= 1
             if error is not None and self.tolerate_faults and isinstance(
-                error, _FAULT_ERRORS
+                error, FAULT_ERRORS
             ):
                 self._failed[step.name] = f"{type(error).__name__}: {error}"
                 self._cancel_dependents_locked(step.name)

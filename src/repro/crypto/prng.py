@@ -60,6 +60,13 @@ SeedLike = Union[int, bytes, str]
 
 _MASK64 = (1 << 64) - 1
 
+#: Words a stepping :meth:`ReseedablePRNG.fast_forward` draws at a time,
+#: which bounds its memory whatever the distance.
+_SEEK_CHUNK = 1 << 16
+
+#: Blocks a :class:`HashDRBG`'s 64-bit counter can address.
+_BLOCK_LIMIT = 1 << 64
+
 
 def _seed_to_bytes(seed: SeedLike, domain: str) -> bytes:
     """Normalise any supported seed into 32 bytes, domain-separated.
@@ -149,6 +156,16 @@ class ReseedablePRNG(abc.ABC):
             (self._next_word() for _ in range(count)), dtype=np.uint64, count=count
         )
 
+    def _seek(self, position: int) -> None:
+        """Move the internal state to ``position`` words after the seed
+        state (never behind the current one).  Steps through the skipped
+        words in bounded chunks; random-access generators override."""
+        remaining = position - self._draws
+        while remaining:
+            step = min(remaining, _SEEK_CHUNK)
+            self._next_words(step)
+            remaining -= step
+
     # -- scalar draws -------------------------------------------------------
 
     def next_uint64(self) -> int:
@@ -191,6 +208,22 @@ class ReseedablePRNG(abc.ABC):
     def next_sign_bit(self) -> int:
         """Single decision bit (0 or 1); the protocol's ``Next() % 2``."""
         return self.next_bits(1)
+
+    def fast_forward(self, position: int) -> None:
+        """Advance to ``position`` words drawn since the last reset, as if
+        every word in between had been drawn.
+
+        The restore path of a checkpointed stream.  Raises
+        :class:`~repro.exceptions.CryptoError` for a position behind the
+        current draw count or beyond the generator's range.
+        """
+        if position < self._draws:
+            raise CryptoError(
+                f"cannot rewind a {self.name} stream from {self._draws} "
+                f"to {position} draws"
+            )
+        self._seek(position)
+        self._draws = position
 
     # -- block draws --------------------------------------------------------
 
@@ -423,6 +456,20 @@ class HashDRBG(ReseedablePRNG):
         if not self._buffer:
             self._refill()
         return self._buffer.pop()
+
+    def _seek(self, position: int) -> None:
+        # Counter mode: word ``p`` is word ``p % 4`` of block ``p // 4``.
+        block, offset = divmod(position, 4)
+        if block >= _BLOCK_LIMIT:
+            raise CryptoError(
+                f"position {position} lies beyond the 64-bit block counter"
+            )
+        self._counter = block
+        self._buffer = []
+        if offset:
+            self._refill()
+            # Served from the end: drop the block's first ``offset`` words.
+            del self._buffer[4 - offset :]
 
     def _next_words(self, count: int) -> np.ndarray:
         out = np.empty(count, dtype=np.uint64)

@@ -56,7 +56,7 @@ from typing import Any, Mapping, Protocol
 
 from repro.crypto.prng import ReseedablePRNG
 from repro.crypto.sym import SymmetricCipher
-from repro.exceptions import ChannelError
+from repro.exceptions import ChannelError, CryptoError
 from repro.network.serialization import serialize
 
 #: ``"t"`` discriminator values of the socket control protocol.
@@ -337,14 +337,10 @@ class LinkCipher:
         if self._entropy is None:
             raise ChannelError("insecure link has no nonce stream to advance")
         with self._lock:
-            behind = target - self._entropy.draws
-            if behind < 0:
-                raise ChannelError(
-                    f"cannot rewind link nonce stream from "
-                    f"{self._entropy.draws} to {target} draws"
-                )
-            if behind:
-                self._entropy.next_words(behind)
+            try:
+                self._entropy.fast_forward(target)
+            except CryptoError as exc:
+                raise ChannelError(f"link nonce stream: {exc}") from None
 
     def seal_payload(self, payload: Any) -> bytes:
         """Serialize and seal a protocol payload in one step."""

@@ -350,16 +350,13 @@ class Network(Transport):
         with self._stats_lock:
             return dict(self._rel_stats)
 
+    def permanently_down(self, party: str) -> bool:
+        plan = self.fault_plan
+        return plan is not None and plan.permanently_down(party)
+
     # -- checkpointing ---------------------------------------------------------
 
-    def channel_entropy_positions(self) -> dict[str, int]:
-        """Nonce-entropy draw counts per secure link, keyed ``"A|B"``.
-
-        Part of a session checkpoint: restoring fast-forwards each
-        link's freshly derived entropy to these positions
-        (:meth:`advance_channel_entropy`), so post-restore sealed frames
-        use exactly the nonces the uninterrupted run would have.
-        """
+    def nonce_positions(self) -> dict[str, int]:
         positions: dict[str, int] = {}
         for link, channel in self._channels.items():
             draws = channel.link.nonce_draws
@@ -368,8 +365,7 @@ class Network(Transport):
                 positions[f"{a}|{b}"] = draws
         return positions
 
-    def advance_channel_entropy(self, positions: Mapping[str, int]) -> None:
-        """Fast-forward link nonce entropies to checkpointed positions."""
+    def advance_nonce_positions(self, positions: Mapping[str, int]) -> None:
         for label, target in positions.items():
             a, _, b = label.partition("|")
             self.channel(a, b).link.advance(int(target))

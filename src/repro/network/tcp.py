@@ -709,6 +709,9 @@ class SocketTransport(Transport):
         with self._cond:
             return self._peers[peer].status
 
+    def permanently_down(self, party: str) -> bool:
+        return party in self._peers and self.liveness(party) == DEAD
+
     def liveness_log(self) -> list[tuple[str, str, str]]:
         """Every liveness transition so far: (peer, from, to)."""
         with self._cond:
@@ -719,10 +722,6 @@ class SocketTransport(Transport):
     @property
     def parties(self) -> frozenset[str]:
         return frozenset((self._local,))
-
-    @property
-    def local_party(self) -> str:
-        return self._local
 
     @property
     def era(self) -> int:
@@ -866,18 +865,17 @@ class SocketTransport(Transport):
 
     # -- era reset / checkpoint integration --------------------------------
 
-    def begin_era(self, cipher_positions: Mapping[str, int] | None = None) -> None:
+    def begin_era(self, nonce_positions: Mapping[str, int] | None = None) -> None:
         """Enter the pending era after the driver restored its checkpoint.
 
         Clears the void era's queues, replay state and sequence
         numbers, rebuilds every link cipher from the stored DH secret,
         fast-forwards each to its checkpointed nonce position
-        (``cipher_positions`` keyed ``"a|b"`` as in
-        :meth:`repro.network.simulator.Network.channel_entropy_positions`),
-        and finally processes any frames peers already sent in the new
-        era.  Raises :class:`ChannelError` when no reset is pending.
+        (:meth:`advance_nonce_positions`), and finally processes any
+        frames peers already sent in the new era.  Raises
+        :class:`ChannelError` when no reset is pending.
         """
-        positions = dict(cipher_positions) if cipher_positions is not None else {}
+        positions = dict(nonce_positions) if nonce_positions is not None else {}
         self._call(self._begin_era_async(positions))
 
     async def _begin_era_async(self, positions: dict[str, int]) -> None:
@@ -898,7 +896,7 @@ class SocketTransport(Transport):
                         self._local, name, peer.shared
                     )
             self._cond.notify_all()
-        self.advance_cipher_positions(positions)
+        self.advance_nonce_positions(positions)
         for name in sorted(self._peers):
             peer = self._peers[name]
             parked, peer.parked = peer.parked, []
@@ -907,15 +905,11 @@ class SocketTransport(Transport):
                     continue
                 await self._process_data(peer, frame, peer.writer)
 
-    def advance_cipher_positions(self, positions: Mapping[str, int]) -> None:
-        """Fast-forward link nonce streams to checkpointed positions.
-
-        The restore path for a restarted party (whose ciphers are fresh)
-        and the tail of :meth:`begin_era` for survivors.  Labels are the
-        sorted-pair ``"a|b"`` keys of
-        :meth:`repro.network.simulator.Network.channel_entropy_positions`;
-        labels for links this endpoint is not part of are ignored, so a
-        whole session checkpoint can be applied as-is.
+    def advance_nonce_positions(self, positions: Mapping[str, int]) -> None:
+        """The restore path for a restarted party (whose ciphers are
+        fresh) and the tail of :meth:`begin_era` for survivors.  Labels
+        for links this endpoint is not part of are ignored, so a whole
+        session checkpoint can be applied as-is.
         """
         for label in sorted(positions):
             a, _, b = label.partition("|")
@@ -948,13 +942,7 @@ class SocketTransport(Transport):
             out[name] = shared
         return out
 
-    def cipher_positions(self) -> dict[str, int]:
-        """Nonce-stream positions per secure link, keyed ``"a|b"``.
-
-        The socket analogue of the simulator's
-        :meth:`~repro.network.simulator.Network.channel_entropy_positions`,
-        recorded into checkpoints.
-        """
+    def nonce_positions(self) -> dict[str, int]:
         positions: dict[str, int] = {}
         for name in sorted(self._peers):
             cipher = self._peers[name].cipher

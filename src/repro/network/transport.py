@@ -46,7 +46,7 @@ replay outbox -- the one reliability protocol in the package.
 from __future__ import annotations
 
 import abc
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from repro.exceptions import ProtocolError
 from repro.network.message import Message
@@ -95,6 +95,23 @@ class Transport(abc.ABC):
         transport it is the one local party (remote queues live in the
         remote processes).
         """
+
+    @abc.abstractmethod
+    def permanently_down(self, party: str) -> bool:
+        """Whether ``party`` is known to be gone for good: a crashed
+        party on the simulator, a peer declared dead on a socket.  A
+        degraded session publishes to no such party."""
+
+    @abc.abstractmethod
+    def nonce_positions(self) -> dict[str, int]:
+        """Nonce-stream draw counts of this endpoint's secure links, keyed
+        by the sorted pair ``"a|b"`` (what a checkpoint records)."""
+
+    @abc.abstractmethod
+    def advance_nonce_positions(self, positions: Mapping[str, int]) -> None:
+        """Fast-forward link nonce streams to checkpointed positions, so
+        sealed frames after a restore use exactly the nonces the
+        uninterrupted run would have."""
 
     def assert_drained(self, parties: Iterable[str] | None = None) -> None:
         """Raise unless every local queue is empty (clean completion)."""

@@ -24,7 +24,7 @@ from repro.data.matrix import AttributeSpec, DataMatrix
 from repro.distance.dissimilarity import DissimilarityMatrix, condensed_tail_indices
 from repro.distance.edit import pairwise_edit_distance_rows, pairwise_edit_distances
 from repro.distance.numeric import FixedPointCodec
-from repro.exceptions import ProtocolError
+from repro.exceptions import CryptoError, ProtocolError
 from repro.network.transport import Transport
 from repro.parties.base import Party
 from repro.types import AttributeType
@@ -450,14 +450,10 @@ class DataHolder(Party):
 
     def advance_entropy(self, target: int) -> None:
         """Fast-forward this holder's entropy to a checkpointed position."""
-        behind = target - self._entropy.draws
-        if behind < 0:
-            raise ProtocolError(
-                f"cannot rewind {self.name!r} entropy from "
-                f"{self._entropy.draws} to {target} draws"
-            )
-        if behind:
-            self._entropy.next_words(behind)
+        try:
+            self._entropy.fast_forward(target)
+        except CryptoError as exc:
+            raise ProtocolError(f"{self.name!r} entropy: {exc}") from None
 
     def send_categorical(self, spec: AttributeSpec, tp_name: str) -> None:
         """Encrypt this site's column deterministically and ship it.

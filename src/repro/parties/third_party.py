@@ -546,15 +546,6 @@ class ThirdParty(Party):
         for attr in raw:
             self.finalize_attribute(attr)
 
-    def finalized_attributes(self) -> list[str]:
-        """Names of attributes whose matrices are finalised, schema order.
-
-        A degraded session merges exactly these -- the attributes whose
-        construction completed before a fault took their peers down.
-        """
-        with self._storage_lock:
-            return [a.name for a in self.schema if a.name in self._normalized]
-
     def merged_matrix(
         self,
         weights: list[float] | None = None,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.config import ProtocolSuiteConfig
-from repro.core.construction import construct_attribute
+from repro.core.scheduler import ConstructionScheduler
 from repro.crypto.keys import secret_from_passphrase
 from repro.crypto.prng import make_prng
 from repro.data.matrix import AttributeSpec, DataMatrix, Schema
@@ -24,6 +24,12 @@ SCHEMA = [
     AttributeSpec("v", AttributeType.NUMERIC, precision=0),
     AttributeSpec("c", AttributeType.CATEGORICAL),
 ]
+
+
+def construct_attribute(spec, holders, tp):
+    scheduler = ConstructionScheduler(holders, tp)
+    scheduler.add_attribute(spec)
+    scheduler.run()
 
 
 def _setup():

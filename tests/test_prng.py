@@ -14,7 +14,7 @@ from repro.crypto.prng import (
     available_kinds,
     make_prng,
 )
-from repro.exceptions import ConfigurationError
+from repro.exceptions import ConfigurationError, CryptoError
 
 ALL_KINDS = available_kinds()
 
@@ -228,6 +228,51 @@ class TestBlockDraws:
             g.next_bits_block(4, 0)
         with pytest.raises(ConfigurationError):
             g.next_below_block(4, 0)
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+class TestFastForward:
+    """A restore fast-forwards a fresh stream to a checkpointed position;
+    it must land exactly where drawing word by word would."""
+
+    @pytest.mark.parametrize("drawn", [0, 1, 2, 3, 6])
+    @pytest.mark.parametrize("skip", [0, 1, 2, 3, 4, 5, 6, 7, 41, 42, 43, 44])
+    def test_fast_forward_equals_drawing_word_by_word(self, kind, drawn, skip):
+        # ``drawn`` leaves a partial hash block; ``skip`` covers every
+        # distance mod 4.
+        stepped, jumped = make_prng("ff", kind), make_prng("ff", kind)
+        stepped.next_words(drawn)
+        jumped.next_words(drawn)
+        for _ in range(skip):
+            stepped.next_uint64()
+        jumped.fast_forward(drawn + skip)
+        assert jumped.draws == stepped.draws == drawn + skip
+        assert jumped.next_words(9).tolist() == stepped.next_words(9).tolist()
+        assert jumped.next_uint64() == stepped.next_uint64()
+
+    def test_fast_forward_past_one_chunk(self, kind):
+        stepped, jumped = make_prng("far", kind), make_prng("far", kind)
+        distance = (1 << 16) + 3
+        stepped.next_words(distance)
+        jumped.fast_forward(distance)
+        assert jumped.next_words(5).tolist() == stepped.next_words(5).tolist()
+
+    def test_fast_forward_refuses_to_rewind(self, kind):
+        g = make_prng("back", kind)
+        g.next_words(5)
+        with pytest.raises(CryptoError, match="rewind"):
+            g.fast_forward(4)
+        assert g.draws == 5
+
+
+def test_hash_drbg_fast_forward_is_bounded_by_its_block_counter():
+    g = make_prng("edge", "hash_drbg")
+    last = 4 * (1 << 64) - 1
+    g.fast_forward(last)
+    assert g.draws == last
+    g.next_uint64()
+    with pytest.raises(CryptoError, match="64-bit block counter"):
+        make_prng("edge", "hash_drbg").fast_forward(last + 1)
 
 
 @given(

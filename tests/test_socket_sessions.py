@@ -206,6 +206,12 @@ class TestSessionSpec:
                 **spec,
                 "partitions": {**spec["partitions"], "alpha": [[34], [29, "doc"]]},
             },
+            lambda spec: {
+                **spec,
+                "partitions": {**spec["partitions"], "alpha": [["34", "eng"]]},
+            },
+            lambda spec: {**spec, "partitions": {"alpha": spec["partitions"]["alpha"]}},
+            lambda spec: {**spec, "partitions": {**spec["partitions"], "beta": []}},
         ],
         ids=[
             "format-only",
@@ -224,6 +230,9 @@ class TestSessionSpec:
             "weights-zero",
             "weights-inf",
             "row-short",
+            "age-str",
+            "one-site",
+            "site-without-rows",
         ],
     )
     def test_malformed_spec_raises_configuration_error(self, tmp_path, mutate):
@@ -232,8 +241,10 @@ class TestSessionSpec:
         spec = deserialize(
             encode_spec(_config(), SCHEMA, ROWS, unix_addresses(PARTIES, str(tmp_path)))
         )
+        threads = threading.active_count()
         with pytest.raises(ConfigurationError):
             PartyRunner(serialize(mutate(spec)), "alpha")
+        assert threading.active_count() == threads
 
     def test_unknown_transport_tuning_rejected(self, tmp_path):
         spec = encode_spec(
@@ -449,12 +460,11 @@ _SECTIONS = (
     "channel_entropy",
     "holder_entropy",
 )
-#: Replacement values; integers stay small because a restore fast-forwards
-#: entropy streams word by word.
+#: Replacement values.
 _JUNK = st.one_of(
-    st.integers(min_value=-3, max_value=5000),
+    st.integers(min_value=-3, max_value=2**62),
     st.text(alphabet=string.ascii_letters + "|", max_size=4),
-    st.lists(st.integers(min_value=-3, max_value=5000), max_size=3),
+    st.lists(st.integers(min_value=-3, max_value=2**62), max_size=3),
 )
 
 

@@ -113,8 +113,8 @@ def _cipher_pair():
     """Two endpoints of one secure link with independent entropy copies."""
     key = b"k" * 32
     return (
-        hs.LinkCipher(("a", "b"), key=key, entropy=session_entropy(5, "nonce|a|b")),
-        hs.LinkCipher(("a", "b"), key=key, entropy=session_entropy(5, "nonce|a|b")),
+        hs.LinkCipher(("a", "b"), key=key, entropy=session_entropy(5, "nonce", "a", "b")),
+        hs.LinkCipher(("a", "b"), key=key, entropy=session_entropy(5, "nonce", "a", "b")),
     )
 
 
@@ -324,7 +324,7 @@ class TestSocketTransport:
                 mesh["alpha"].shared_secrets()["beta"]
                 == mesh["beta"].shared_secrets()["alpha"]
             )
-            assert mesh["alpha"].cipher_positions() == mesh["beta"].cipher_positions()
+            assert mesh["alpha"].nonce_positions() == mesh["beta"].nonce_positions()
         finally:
             _close_all(mesh)
 
@@ -658,7 +658,7 @@ class TestSocketTransport:
         try:
             alpha.send("alpha", "beta", "blob", 1, tag="t")
             assert beta.receive("beta", kind="blob", sender="alpha", tag="t").payload == 1
-            positions = alpha.cipher_positions()
+            positions = alpha.nonce_positions()
             # Supervisor "restarts" beta with a bumped incarnation.
             beta.close()
             beta = build("beta", incarnation=2)
@@ -675,7 +675,7 @@ class TestSocketTransport:
             alpha.begin_era(positions)
             restart.join(timeout=25.0)
             assert alpha.era == beta.era == 3
-            beta.advance_cipher_positions(positions)
+            beta.advance_nonce_positions(positions)
             alpha.send("alpha", "beta", "blob", 9, tag="t")
             assert beta.receive("beta", kind="blob", sender="alpha", tag="t").payload == 9
             with pytest.raises(ChannelError, match="no session reset"):
