@@ -16,18 +16,20 @@ from pathlib import Path
 
 import pytest
 
-_REPO_ROOT = Path(__file__).resolve().parent.parent
+from check_gates import bench_dir
 
 
 def persist_bench(name: str, payload: dict) -> Path:
-    """Merge measured numbers into ``BENCH_<name>.json`` at the repo root.
+    """Merge measured numbers into ``BENCH_<name>.json`` in :func:`bench_dir`.
 
     Benchmarks persist their headline results so the perf trajectory is
-    recorded per PR (CI uploads every ``BENCH_*.json`` as an artifact).
-    Merging keeps one file per bench module with the latest value under
-    each key.
+    recorded per PR (CI records with ``REPRO_BENCH_RECORD=1`` and uploads
+    every ``BENCH_*.json`` as an artifact).  Merging keeps one file per
+    bench module with the latest value under each key.
     """
-    path = _REPO_ROOT / f"BENCH_{name}.json"
+    directory = bench_dir()
+    directory.mkdir(exist_ok=True)
+    path = directory / f"BENCH_{name}.json"
     existing: dict = {}
     if path.exists():
         try:

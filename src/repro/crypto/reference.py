@@ -1,8 +1,8 @@
 """Scalar reference implementation of the channel transport.
 
 The production cipher in :mod:`repro.crypto.sym` generates its
-HMAC-SHA256 counter keystream from cached hash midstates and XORs with
-numpy; this module preserves the original one-``hmac.new``-per-block,
+HMAC-SHA256 counter keystream with one PBKDF2 call per frame and XORs
+with numpy; this module preserves the original one-``hmac.new``-per-block,
 XOR-per-byte implementation as the executable specification of the wire
 format.  Its contract mirrors :mod:`repro.core.reference` for the
 protocol engine: the fast transport must produce *byte-identical* sealed

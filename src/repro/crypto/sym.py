@@ -16,15 +16,16 @@ crypto dependency is available offline) but structurally sound:
 Throughput
 ----------
 Sealing is the transport hot path -- every protocol message on a secure
-channel pays for a full keystream -- so the keystream is generated in
-one batch from cached HMAC midstates (the inner and outer SHA-256 states
-of the padded key, the same midstate trick
-:class:`repro.crypto.prng.HashDRBG` uses for block draws) and the XOR
-runs as a single numpy ``bitwise_xor`` over byte views.  Because the
-simulation executes both channel endpoints in one process,
-:meth:`SymmetricCipher.transmit_roundtrip` additionally shares a single
-keystream between sealing and the immediate in-process open, so the
-honest secure-channel model no longer pays for every keystream twice.
+channel pays for a full keystream -- so a frame's keystream is one
+OpenSSL call: one-iteration PBKDF2-HMAC-SHA256 over the salt
+``nonce || 0x00000000`` outputs exactly counter blocks 1, 2, ... (see
+:class:`CounterKeystream`), and block 0 comes from cached HMAC midstates,
+so a frame of 32 bytes or less makes no PBKDF2 call.  The XOR is one
+numpy ``bitwise_xor`` over byte views.  Because the simulation executes
+both channel endpoints in one process,
+:meth:`SymmetricCipher.transmit_roundtrip` opens without a second
+keystream or tag, so the honest secure-channel model does not pay for
+every keystream twice.
 
 Wire bytes are byte-identical to the scalar implementation preserved in
 :mod:`repro.crypto.reference`; the equivalence suite pins that, and
@@ -50,42 +51,46 @@ _TAG_LEN = 32
 _NONCE_LEN = 16
 _BLOCK = 32
 
+#: Longest keystream one frame may ask for: 2 GiB, twice the largest
+#: frame body.  Blocks 1 onwards are one PBKDF2 output, whose length is a
+#: C int.
+MAX_STREAM_BYTES = 1 << 31
 
-class _KeystreamFactory:
-    """Batch HMAC-SHA256 counter keystream bound to one encryption key.
 
-    ``HMAC(K, m) = H((K ^ opad) || H((K ^ ipad) || m))``; both padded-key
-    compressions depend only on ``K``, so they are hashed once here and
-    every counter block costs two midstate copies plus three short
-    updates instead of a full ``hmac.new`` (which re-pads and re-hashes
-    the key twice per call).  Counter bytes for a whole keystream come
-    from one numpy big-endian conversion rather than one ``to_bytes``
-    per block.  Output is bit-for-bit
-    :func:`repro.crypto.reference.scalar_keystream`.
+class CounterKeystream:
+    """HMAC-SHA256 counter keystream bound to one encryption key.
+
+    Block ``i`` of a message's keystream is
+    ``HMAC(K, nonce || uint64_be(i))``.  One-iteration PBKDF2-HMAC-SHA256
+    over the salt ``nonce || 0x00000000`` MACs ``salt || INT32_BE(i)`` for
+    its block ``i``: the same message for every ``1 <= i < 2**32``, with
+    the raw key passed to HMAC in both.  PBKDF2 never emits counter 0, so
+    block 0 comes from the padded-key midstates hashed here.  Output is
+    bit-for-bit :func:`repro.crypto.reference.scalar_keystream`.
     """
 
     def __init__(self, key: bytes) -> None:
+        self._key = key
         if len(key) > _HASH_BLOCK:
             key = _HASH(key).digest()
         padded = key.ljust(_HASH_BLOCK, b"\x00")
         self._inner = _HASH(bytes(b ^ 0x36 for b in padded))
         self._outer = _HASH(bytes(b ^ 0x5C for b in padded))
 
-    def generate(self, nonce: bytes, length: int) -> bytes:
-        """Keystream of ``length`` bytes for one message nonce."""
-        blocks = (length + _BLOCK - 1) // _BLOCK
-        counters = memoryview(np.arange(blocks, dtype=np.uint64).astype(">u8").tobytes())
-        inner_copy, outer_copy = self._inner.copy, self._outer.copy
-        stream = []
-        append = stream.append
-        for off in range(0, 8 * blocks, 8):
-            block = inner_copy()
-            block.update(nonce)
-            block.update(counters[off : off + 8])
-            finish = outer_copy()
-            finish.update(block.digest())
-            append(finish.digest())
-        return b"".join(stream)[:length]
+    def keystream(self, nonce: bytes, length: int) -> bytes:
+        """Keystream of ``length`` bytes for one message nonce; raises
+        :class:`CryptoError`, allocating nothing, above :data:`MAX_STREAM_BYTES`."""
+        if length > MAX_STREAM_BYTES:
+            raise CryptoError(f"keystream of {length} bytes exceeds {MAX_STREAM_BYTES}")
+        inner = self._inner.copy()
+        inner.update(nonce + bytes(8))
+        first = self._outer.copy()
+        first.update(inner.digest())
+        if length <= _BLOCK:
+            return first.digest()[:length]
+        return first.digest() + hashlib.pbkdf2_hmac(
+            "sha256", self._key, nonce + bytes(4), 1, length - _BLOCK
+        )
 
 
 def _xor(data: bytes, stream: bytes) -> bytes:
@@ -117,7 +122,7 @@ class SymmetricCipher:
             raise CryptoError("channel key must be at least 128 bits")
         self._enc_key = derive_key(key, "channel.enc")
         self._mac_key = derive_key(key, "channel.mac")
-        self._keystream = _KeystreamFactory(self._enc_key)
+        self._keystream = CounterKeystream(self._enc_key)
         self._mac_base = hmac.new(self._mac_key, b"", _HASH)
 
     def _tag(self, nonce: bytes, ciphertext: bytes) -> bytes:
@@ -126,17 +131,14 @@ class SymmetricCipher:
         mac.update(ciphertext)
         return mac.digest()
 
-    def _nonce(self, entropy: ReseedablePRNG) -> bytes:
-        return entropy.next_bits(_NONCE_LEN * 8).to_bytes(_NONCE_LEN, "big")
-
     def seal(self, plaintext: bytes, entropy: ReseedablePRNG) -> bytes:
         """Encrypt and authenticate ``plaintext``.
 
         ``entropy`` supplies the per-message nonce; simulations pass a
         seeded generator so transcripts are reproducible.
         """
-        nonce = self._nonce(entropy)
-        ciphertext = _xor(plaintext, self._keystream.generate(nonce, len(plaintext)))
+        nonce = entropy.next_bits(_NONCE_LEN * 8).to_bytes(_NONCE_LEN, "big")
+        ciphertext = _xor(plaintext, self._keystream.keystream(nonce, len(plaintext)))
         return nonce + ciphertext + self._tag(nonce, ciphertext)
 
     def open(self, sealed: bytes) -> bytes:
@@ -152,27 +154,21 @@ class SymmetricCipher:
         ciphertext = sealed[_NONCE_LEN:-_TAG_LEN]
         if not hmac.compare_digest(tag, self._tag(nonce, ciphertext)):
             raise IntegrityError("message authentication failed")
-        return _xor(ciphertext, self._keystream.generate(nonce, len(ciphertext)))
+        return _xor(ciphertext, self._keystream.keystream(nonce, len(ciphertext)))
 
     def transmit_roundtrip(
         self, plaintext: bytes, entropy: ReseedablePRNG
     ) -> tuple[bytes, bytes]:
-        """Seal and immediately open with one shared keystream.
+        """Seal, and open at the in-process receiving end.
 
-        The in-process channel simulation executes both endpoints, so a
-        separate :meth:`open` after :meth:`seal` regenerates the exact
-        keystream just produced and re-verifies a tag computed a
-        microsecond earlier.  This path shares the keystream instead:
-        the decrypted plaintext is ``xor(xor(p, ks), ks) == p`` and the
-        freshly computed tag verifies by construction.  Returns
-        ``(sealed, opened)`` with ``sealed`` byte-identical to
-        :meth:`seal` (same nonce entropy consumption, same wire bytes).
-        Bytes arriving from outside the process must still go through
-        :meth:`open`.
+        The simulator executes both endpoints, where :meth:`open` would
+        regenerate the keystream just made and re-verify a tag computed a
+        microsecond earlier; the opened bytes are the plaintext by
+        construction (``xor(xor(p, ks), ks) == p``).  Returns ``(sealed,
+        opened)``, ``sealed`` being :meth:`seal`'s wire bytes.  Bytes
+        arriving from outside the process must still go through :meth:`open`.
         """
-        nonce = self._nonce(entropy)
-        ciphertext = _xor(plaintext, self._keystream.generate(nonce, len(plaintext)))
-        return nonce + ciphertext + self._tag(nonce, ciphertext), plaintext
+        return self.seal(plaintext, entropy), plaintext
 
 
 #: Derived-key cache for the one-shot helpers: HKDF sub-key derivation

@@ -7,8 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.detenc import DeterministicEncryptor
 from repro.crypto.prng import make_prng
-from repro.crypto.sym import SymmetricCipher, open_sealed, seal
+from repro.crypto.sym import (
+    MAX_STREAM_BYTES,
+    CounterKeystream,
+    SymmetricCipher,
+    open_sealed,
+    seal,
+)
 from repro.exceptions import CryptoError, IntegrityError
+from repro.network.handshake import LinkCipher
 
 KEY = b"k" * 32
 
@@ -41,13 +48,37 @@ class TestSymmetricCipher:
         entropy = make_prng(3)
         assert cipher.seal(b"same", entropy) != cipher.seal(b"same", entropy)
 
-    @pytest.mark.parametrize("position", [0, 10, 20, 45])
-    def test_tamper_detected(self, position):
-        cipher = SymmetricCipher(KEY)
-        sealed = bytearray(cipher.seal(b"x" * 32, make_prng(4)))
-        sealed[position] ^= 0x01
+    @given(
+        payload=st.binary(max_size=4096),
+        prior=st.integers(0, 3),
+        edit=st.sampled_from(["change", "truncate", "extend"]),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tamper_detected(self, payload, prior, edit, data):
+        """One changed byte, a truncation or an extension of a link frame
+        fails to open and leaves the nonce stream where it was; the frame
+        as sealed then opens at that position (the transport's replay)."""
+        sender, receiver = (
+            LinkCipher(("a", "b"), key=KEY, entropy=make_prng(4)) for _ in range(2)
+        )
+        for i in range(prior):
+            assert receiver.open(sender.seal(bytes([i]))) == bytes([i])
+        position = receiver.nonce_draws
+        frame = sender.seal(payload)
+        if edit == "change":
+            at = data.draw(st.integers(0, len(frame) - 1))
+            flip = data.draw(st.integers(1, 255))
+            tampered = frame[:at] + bytes([frame[at] ^ flip]) + frame[at + 1 :]
+        elif edit == "truncate":
+            tampered = frame[: data.draw(st.integers(0, len(frame) - 1))]
+        else:
+            tampered = frame + data.draw(st.binary(min_size=1, max_size=64))
         with pytest.raises(IntegrityError):
-            cipher.open(bytes(sealed))
+            receiver.open(tampered)
+        assert receiver.nonce_draws == position
+        assert receiver.open(frame) == payload
+        assert receiver.nonce_draws == sender.nonce_draws
 
     def test_truncation_detected(self):
         cipher = SymmetricCipher(KEY)
@@ -63,6 +94,12 @@ class TestSymmetricCipher:
     def test_short_key_rejected(self):
         with pytest.raises(CryptoError):
             SymmetricCipher(b"short")
+
+    def test_keystream_length_bound(self):
+        """PBKDF2's output length is a C int: a longer keystream is refused
+        before anything is allocated (asked for directly, no plaintext)."""
+        with pytest.raises(CryptoError, match="exceeds"):
+            CounterKeystream(KEY).keystream(bytes(16), MAX_STREAM_BYTES + 1)
 
     def test_one_shot_helpers(self):
         sealed = seal(KEY, b"msg", make_prng(7))

@@ -1,6 +1,6 @@
 """Transcript equality: the fast transport vs the seed implementation.
 
-The transport PR rewrote the channel cipher (batched midstate keystream,
+The transport PR rewrote the channel cipher (one-call PBKDF2 keystream,
 shared seal/open keystream inside ``Channel.transmit``) and gave the
 wire codec batched integer-run paths.  The contract is the same as the
 vectorized protocol engine's: *not a single wire byte changes*.  This
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro.core.config import ProtocolSuiteConfig, SessionConfig
@@ -25,7 +25,7 @@ from repro.crypto.reference import (
     scalar_transport,
     scalar_xor,
 )
-from repro.crypto.sym import SymmetricCipher, _KeystreamFactory, open_sealed, seal
+from repro.crypto.sym import CounterKeystream, SymmetricCipher, open_sealed, seal
 from repro.data.alphabet import DNA_ALPHABET
 from repro.data.matrix import AttributeSpec, DataMatrix
 from repro.exceptions import ChannelError
@@ -39,14 +39,30 @@ KEY = b"k" * 32
 class TestKeystreamEquivalence:
     @pytest.mark.parametrize("length", [0, 1, 31, 32, 33, 64, 100, 4096, 100001])
     def test_matches_scalar_keystream(self, length):
-        factory = _KeystreamFactory(KEY)
+        factory = CounterKeystream(KEY)
         nonce = bytes(range(16))
-        assert factory.generate(nonce, length) == scalar_keystream(KEY, nonce, length)
+        assert factory.keystream(nonce, length) == scalar_keystream(KEY, nonce, length)
 
     def test_long_key_matches(self):
         long_key = b"q" * 100  # beyond the SHA-256 block: HMAC hashes it first
-        factory = _KeystreamFactory(long_key)
-        assert factory.generate(b"n" * 16, 96) == scalar_keystream(long_key, b"n" * 16, 96)
+        factory = CounterKeystream(long_key)
+        assert factory.keystream(b"n" * 16, 96) == scalar_keystream(long_key, b"n" * 16, 96)
+
+    @given(
+        key=st.binary(max_size=130),
+        nonce=st.binary(min_size=16, max_size=16),
+        length=st.integers(0, 5000),
+    )
+    @example(key=b"k" * 64, nonce=bytes(16), length=5000)  # one block, used as is
+    @example(key=b"k" * 65, nonce=bytes(16), length=5000)  # hashed first
+    @settings(max_examples=60, deadline=None)
+    def test_property_keystream_is_the_spec(self, key, nonce, length):
+        """Every key length on both sides of HMAC's 64-byte block (PBKDF2
+        gets the raw key), and every length from 0 to 65 at each key: the
+        block-0-only, PBKDF2-truncated and whole-block cases."""
+        stream = CounterKeystream(key)
+        for n in (*range(66), length):
+            assert stream.keystream(nonce, n) == scalar_keystream(key, nonce, n)
 
     @given(data=st.binary(max_size=512))
     @settings(max_examples=50, deadline=None)
