@@ -25,6 +25,7 @@ from repro.core.session import session_entropy
 from repro.exceptions import (
     ChannelError,
     ConfigurationError,
+    IntegrityError,
     LaneTimeoutError,
     PartyCrashError,
     SessionResetError,
@@ -142,6 +143,16 @@ class TestLinkCipher:
             assert sender.nonce_draws == receiver.nonce_draws == (
                 (i + 1) * hs.LinkCipher.NONCE_WORDS
             )
+
+    def test_integrity_failure_does_not_advance(self):
+        sender, receiver = _cipher_pair()
+        sealed = sender.seal(b"payload")
+        tampered = sealed[:-1] + bytes([sealed[-1] ^ 0xFF])
+        with pytest.raises(IntegrityError):
+            receiver.open(tampered)
+        assert receiver.nonce_draws == 0
+        # The replayed original must still open at the same position.
+        assert receiver.open(sealed) == b"payload"
 
     def test_advance_refuses_rewind(self):
         sender, _ = _cipher_pair()

@@ -48,6 +48,14 @@ class TestSymmetricCipher:
         entropy = make_prng(3)
         assert cipher.seal(b"same", entropy) != cipher.seal(b"same", entropy)
 
+    @pytest.mark.parametrize("position", [0, 10, 20, 45])
+    def test_tamper_detected(self, position):
+        cipher = SymmetricCipher(KEY)
+        sealed = bytearray(cipher.seal(b"x" * 32, make_prng(4)))
+        sealed[position] ^= 0x01
+        with pytest.raises(IntegrityError):
+            cipher.open(bytes(sealed))
+
     @given(
         payload=st.binary(max_size=4096),
         prior=st.integers(0, 3),
@@ -55,7 +63,7 @@ class TestSymmetricCipher:
         data=st.data(),
     )
     @settings(max_examples=100, deadline=None)
-    def test_tamper_detected(self, payload, prior, edit, data):
+    def test_property_link_frame_tamper_detected(self, payload, prior, edit, data):
         """One changed byte, a truncation or an extension of a link frame
         fails to open and leaves the nonce stream where it was; the frame
         as sealed then opens at that position (the transport's replay)."""
