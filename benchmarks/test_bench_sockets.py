@@ -7,17 +7,19 @@ This module prices that choice:
 
 * **threaded mesh** -- every endpoint a thread over unix domain
   sockets; one interpreter, shared imports, no spawn cost.
-* **process cluster** -- the supervisor spawns one interpreter per
-  party, each paying startup + import + handshake before construction.
+* **process cluster** -- the supervisor starts one launcher interpreter
+  per session, which imports the party path once and forks each party
+  process; the session pays one interpreter start and import, and each
+  party its handshake, before construction.
 
 Process isolation is what the crash-recovery story buys (SIGKILL a
 party and the others survive), so it is expected to *cost* wall-clock,
 not win it: the gated number is an **isolation efficiency** ratio
 (threaded time / process time).  The bar guards the supervisor's
-spawn-and-handshake path against degenerating into retry/backoff stalls
--- a healthy run is dominated by interpreter startup, a sick one by
-reconnect timers -- without pretending processes should beat threads on
-a workload this small.  Both runs are also checked bit-identical to
+launch-and-handshake path against degenerating into retry/backoff
+stalls -- a healthy run is dominated by the launcher's one interpreter
+start and import, a sick one by reconnect timers -- without pretending
+processes should beat threads on a workload this small.  Both runs are also checked bit-identical to
 each other and to the in-process simulator before any timing is read.
 
 Headline numbers persist to ``BENCH_sockets.json`` (required by
@@ -40,9 +42,10 @@ from repro.types import AttributeType
 
 #: Isolation-efficiency floor: a process cluster may cost at most
 #: 1/bar times the threaded mesh (0.01 -> at most 100x; measured
-#: 0.09-0.14x, i.e. 7-12x, over three runs on a shared 2-vCPU host).
-#: The ratio is spawn-bound when healthy (interpreter start plus the
-#: numpy import); the bar only trips when the supervisor path stalls in
+#: 0.11-0.21x, i.e. 5-9x, over nine runs on a shared 2-vCPU host, and
+#: 0.07-0.08x when each party was its own interpreter).  The ratio is
+#: bound by the launcher's one interpreter start plus the numpy import
+#: when healthy; the bar only trips when the supervisor path stalls in
 #: reconnect backoff or handshake timeouts, which costs whole retry
 #: deadlines rather than interpreter startups.  CI relaxes it further
 #: -- shared runners fork slowly.

@@ -4,17 +4,23 @@ Turns the library's in-process session into a real deployment shape:
 one OS process per party (each running a
 :class:`~repro.parties.runner.PartyRunner` over a
 :class:`~repro.network.tcp.SocketTransport`), supervised by a parent
-that spawns them, watches for crashes, and restarts killed parties from
-their checkpoints with a bumped incarnation so the surviving mesh
+that launches them, watches for crashes, and restarts killed parties
+from their checkpoints with a bumped incarnation so the surviving mesh
 resets its era and the session completes bit-identically.
+
+The supervisor starts one fresh interpreter per session, the launcher
+(:func:`_launch`), which imports the party path once and forks each
+party process from it, so a session pays one interpreter start and one
+import rather than one per party.
 
 Subcommands
 -----------
 ``party``
-    Internal per-process entrypoint (the supervisor spawns these): runs
-    one party against the shared session spec and writes its report.
+    Per-process entrypoint (the launcher's forks run it; it also runs
+    one endpoint stand-alone): runs one party against the shared
+    session spec and writes its report.
 ``run``
-    The supervisor: spawns every party of a spec, restarts SIGKILLed
+    The supervisor: launches every party of a spec, restarts SIGKILLed
     ones from their checkpoints, and aggregates the per-party reports.
 ``demo``
     Writes a small 2-holder + third-party spec over unix-domain sockets
@@ -28,12 +34,16 @@ Spec files are produced by :func:`repro.parties.runner.encode_spec`
 from __future__ import annotations
 
 import argparse
+import atexit
+import json
 import os
+import select
 import signal
 import socket
 import subprocess
 import sys
 import time
+import traceback
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -70,8 +80,12 @@ def unix_addresses(parties: list[str], directory: str) -> dict[str, str]:
     }
 
 
+#: The launcher's program (see :func:`_launch`).
+_LAUNCHER = "from repro.apps.cluster import _launch; _launch()"
+
+
 class ClusterSupervisor:
-    """Spawns, watches and restarts the party processes of one session.
+    """Launches, watches and restarts the party processes of one session.
 
     Parameters
     ----------
@@ -119,7 +133,8 @@ class ClusterSupervisor:
         self.max_restarts = max_restarts
         self.timeout = timeout
         self._incarnations: dict[str, int] = {p: 1 for p in self.parties}
-        self._procs: dict[str, subprocess.Popen] = {}
+        #: The supervisor's end of the launcher's command and event pipe.
+        self._launcher: socket.socket | None = None
 
     def _paths(self, party: str) -> tuple[str, str]:
         return (
@@ -127,12 +142,10 @@ class ClusterSupervisor:
             os.path.join(self.workdir, f"{party}.report"),
         )
 
-    def _spawn(self, party: str, *, restore: bool) -> subprocess.Popen:
+    def _spawn(self, party: str, *, restore: bool) -> None:
+        """Ask the launcher to fork ``party``'s process."""
         ckpt, report = self._paths(party)
         argv = [
-            sys.executable,
-            "-m",
-            "repro.apps.cluster",
             "party",
             "--spec",
             self.spec_path,
@@ -149,35 +162,52 @@ class ClusterSupervisor:
             argv += ["--restore", ckpt]
         elif party in self.kill_after_step:
             argv += ["--exit-after-step", self.kill_after_step[party]]
-        # Children must resolve ``repro`` the same way the supervisor
+        self._launcher.sendall(json.dumps([party, argv]).encode() + b"\n")
+
+    def _start_launcher(self, stdin: socket.socket) -> subprocess.Popen:
+        # The launcher must resolve ``repro`` the same way the supervisor
         # did, even when it was imported off sys.path (e.g. pytest's
-        # pythonpath ini) rather than an installed distribution.
-        env = dict(os.environ)
+        # pythonpath ini) rather than an installed distribution.  One
+        # BLAS thread keeps it single-threaded when it forks; the party
+        # path makes no BLAS call.
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         package_root = str(Path(__file__).resolve().parents[2])
         paths = env.get("PYTHONPATH", "").split(os.pathsep)
         if package_root not in paths:
             env["PYTHONPATH"] = os.pathsep.join([package_root] + [p for p in paths if p])
-        return subprocess.Popen(argv, env=env)
+        return subprocess.Popen([sys.executable, "-c", _LAUNCHER], stdin=stdin, env=env)
 
     def run(self) -> dict[str, dict[str, Any]]:
         """Run the session to completion; returns ``{party: report}``."""
         os.makedirs(self.workdir, exist_ok=True)
         restarts = {p: 0 for p in self.parties}
-        for party in self.parties:
-            self._procs[party] = self._spawn(party, restore=False)
         deadline = time.monotonic() + self.timeout
         pending = set(self.parties)
-        try:
-            while pending:
-                if time.monotonic() > deadline:
-                    raise ConfigurationError(
-                        f"session timed out with {sorted(pending)} unfinished"
-                    )
-                time.sleep(0.05)
-                for party in sorted(pending):
-                    code = self._procs[party].poll()
-                    if code is None:
+        self._launcher, theirs = socket.socketpair()
+        with self._launcher:
+            with theirs:
+                launcher = self._start_launcher(theirs)
+            exits = b""
+            try:
+                for party in self.parties:
+                    self._spawn(party, restore=False)
+                while pending:
+                    if b"\n" not in exits:
+                        remaining = deadline - time.monotonic()
+                        if remaining <= 0:
+                            raise ConfigurationError(
+                                f"session timed out with {sorted(pending)} unfinished"
+                            )
+                        if select.select([self._launcher], [], [], remaining)[0]:
+                            chunk = self._launcher.recv(4096)
+                            if not chunk:
+                                raise ConfigurationError(
+                                    f"the party launcher exited with {sorted(pending)} unfinished"
+                                )
+                            exits += chunk
                         continue
+                    line, exits = exits.split(b"\n", 1)
+                    party, code = json.loads(line)
                     if code == 0:
                         pending.discard(party)
                         continue
@@ -194,16 +224,16 @@ class ClusterSupervisor:
                     ):
                         restarts[party] += 1
                         self._incarnations[party] += 1
-                        self._procs[party] = self._spawn(party, restore=True)
+                        self._spawn(party, restore=True)
                         continue
                     raise ConfigurationError(
                         f"party {party!r} exited with code {code}"
                     )
-        finally:
-            for party, proc in self._procs.items():
-                if proc.poll() is None:
-                    proc.kill()
-                proc.wait()
+            finally:
+                # EOF on its pipe: the launcher SIGKILLs and reaps every
+                # party still running, then exits.
+                self._launcher.close()
+                launcher.wait()
         reports: dict[str, dict[str, Any] | None] = {}
         for party in self.parties:
             _, report_path = self._paths(party)
@@ -212,6 +242,77 @@ class ClusterSupervisor:
             else:
                 reports[party] = None
         return reports
+
+
+def _launch() -> None:
+    """The launcher (DESIGN.md, "The supervisor"); never returns.
+
+    Forks a child running ``main(argv)`` for each line ``[party, argv]``
+    read from fd 0, a socket to the supervisor, and writes ``[party,
+    exit code]`` back once the child is reaped.  On EOF, a broken pipe
+    or any error it SIGKILLs and reaps every child still running, then
+    leaves by ``os._exit``: inherited exit handlers run in parties only.
+    """
+    children: dict[int, tuple[str, int]] = {}  # pidfd -> (party, pid)
+    code = 0
+    try:
+        requests = b""
+        while True:
+            for fd in select.select([0, *children], [], [])[0]:
+                if fd != 0:
+                    party, pid = children.pop(fd)
+                    os.close(fd)
+                    exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                    os.write(0, json.dumps([party, exit_code]).encode() + b"\n")
+                    continue
+                # The raw fd: a buffered reader could hold a request
+                # back from ``select``.
+                chunk = os.read(0, 65536)
+                if not chunk:
+                    return
+                *lines, requests = (requests + chunk).split(b"\n")
+                for line in lines:
+                    party, argv = json.loads(line)
+                    pid = os.fork()
+                    if pid == 0:
+                        _forked_party(argv, children)
+                    children[os.pidfd_open(pid)] = (party, pid)
+    except (BrokenPipeError, ConnectionResetError):
+        pass  # the supervisor is gone
+    except BaseException:
+        traceback.print_exc()
+        code = 1
+    finally:
+        for _, pid in children.values():
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os._exit(code)
+
+
+def _forked_party(argv: list[str], pidfds: Iterable[int]) -> None:
+    """A forked party's body; ends as a fresh interpreter running
+    ``main(argv)`` would: exit handlers, flushed stdio, exit code."""
+    code = 1
+    try:
+        for fd in pidfds:
+            os.close(fd)
+        # Fd 0 is the launcher's end of its pipe; a party holding it
+        # would hide the launcher's exit from the supervisor.
+        null = os.open(os.devnull, os.O_RDONLY)
+        os.dup2(null, 0)
+        os.close(null)
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code if isinstance(exc.code, int) else int(exc.code is not None)
+    except BaseException:
+        traceback.print_exc()
+    finally:
+        try:
+            atexit._run_exitfuncs()
+            sys.stdout.flush()
+            sys.stderr.flush()
+        finally:
+            os._exit(code)
 
 
 # -- CLI ---------------------------------------------------------------------

@@ -215,8 +215,9 @@ class SocketTransport(Transport):
         self._security = security
         self._fingerprint = fingerprint
         # The default redial budget (~30 s) and ``dead_after`` must both
-        # comfortably exceed a party-process restart -- interpreter
-        # start plus the numpy import, seconds on a loaded machine.
+        # comfortably exceed a party-process restart -- a fork plus the
+        # checkpoint restore and handshake, or an interpreter start for a
+        # stand-alone party; seconds on a loaded machine.
         # Death declared while the supervisor is mid-respawn is sticky
         # and unrecoverable, so these margins are deliberately generous;
         # crash-detection tests tighten them explicitly.

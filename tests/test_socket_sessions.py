@@ -15,9 +15,14 @@ from __future__ import annotations
 import functools
 import hashlib
 import os
+import re
+import signal
 import string
+import subprocess
 import sys
 import threading
+import time
+import uuid
 from pathlib import Path
 
 import pytest
@@ -315,8 +320,77 @@ def _write_spec(tmp_path, spec):
     return str(spec_path)
 
 
+def _idle_threads(pid):
+    """OS threads of process ``pid`` once it sleeps for 50 ms on end:
+    the launcher does that only when its imports are done and it waits
+    for a request."""
+    proc = Path(f"/proc/{pid}")
+    started, asleep = time.monotonic(), 0
+    while asleep < 5:
+        assert time.monotonic() - started < 60.0, "the launcher never went idle"
+        time.sleep(0.01)
+        state = (proc / "stat").read_text().rsplit(")", 1)[1].split()[0]
+        asleep = asleep + 1 if state == "S" else 0
+    return int(re.search(r"^Threads:\s+(\d+)", (proc / "status").read_text(), re.M)[1])
+
+
+def _watch_launches(monkeypatch):
+    """Record every ``subprocess.Popen`` made, and the launcher's OS
+    thread count when it is about to fork: before the first request
+    (held back until the launcher is idle) and before each restart."""
+    launched: list[subprocess.Popen] = []
+    threads: list[int] = []
+
+    class CountingPopen(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            launched.append(self)
+
+    spawn = ClusterSupervisor._spawn
+
+    def watched_spawn(self, party, *, restore):
+        if restore or not threads:
+            threads.append(_idle_threads(launched[-1].pid))
+        spawn(self, party, restore=restore)
+
+    monkeypatch.setattr(subprocess, "Popen", CountingPopen)
+    monkeypatch.setattr(ClusterSupervisor, "_spawn", watched_spawn)
+    return launched, threads
+
+
+#: Environment variable that tags a test's processes (see ``_tagged``).
+_TAG = "REPRO_CLUSTER_TEST_TAG"
+
+
+def _tagged(token):
+    """Pids of the live processes, other than this one, whose environment
+    has ``_TAG`` set to ``token`` (a zombie's environment reads empty)."""
+    needle = f"{_TAG}={token}".encode()
+    found = set()
+    for entry in Path("/proc").iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            if needle in (entry / "environ").read_bytes().split(b"\0"):
+                found.add(int(entry.name))
+        except OSError:
+            continue  # gone, or not ours to read
+    return found - {os.getpid()}
+
+
+@pytest.fixture
+def process_tag(monkeypatch):
+    """A token in the environment of every process the test starts;
+    whatever still runs with it at teardown is SIGKILLed."""
+    token = uuid.uuid4().hex
+    monkeypatch.setenv(_TAG, token)
+    yield token
+    for pid in _tagged(token):
+        os.kill(pid, signal.SIGKILL)
+
+
 class TestClusterSupervisor:
-    def test_kill_and_restart_resumes_bit_identically(self, tmp_path):
+    def test_kill_and_restart_resumes_bit_identically(self, tmp_path, monkeypatch):
         """SIGKILL one holder mid-construction; the supervisor restarts
         it from its checkpoint, survivors reset their era, and the final
         era replays the whole construction byte-identically (the
@@ -328,9 +402,10 @@ class TestClusterSupervisor:
             SCHEMA,
             ROWS,
             unix_addresses(PARTIES, str(tmp_path)),
-            # Survivors must outwait the respawn (interpreter start +
-            # the numpy import, seconds on a loaded CI runner):
-            # death declared mid-restart is sticky and unrecoverable.
+            # Survivors must outwait the restart (a fork from the
+            # launcher, but the party still replays its checkpoint and
+            # re-handshakes on a possibly loaded CI runner): death
+            # declared mid-restart is sticky and unrecoverable.
             transport={"dead_after": 60.0},
         )
         supervisor = ClusterSupervisor(
@@ -338,7 +413,12 @@ class TestClusterSupervisor:
             str(tmp_path),
             kill_after_step={"beta": "age:send_local[beta]"},
         )
+        launched, threads = _watch_launches(monkeypatch)
         reports = supervisor.run()
+        # One interpreter for the whole session, restart included, and
+        # it forks with one OS thread.
+        assert len(launched) == 1
+        assert threads == [1, 1]
         final_era = max(r["era"] for r in reports.values())
         assert final_era == 4  # beta's restart bumped the initial era 3
         assert all(r["era"] == final_era for r in reports.values())
@@ -427,13 +507,75 @@ class TestClusterSupervisor:
         assert tp["result"] == payload
         assert reports["alpha"]["result"] == payload
 
-    def test_demo_cli_runs_end_to_end(self, tmp_path, capsys):
+    def test_failed_run_leaves_no_party_alive(self, tmp_path, process_tag):
+        """``run`` raising on a SIGKILL it may not restart takes the
+        launcher and the surviving parties (which would wait for the
+        dead one until ``dead_after``) down with it."""
+        spec = encode_spec(
+            _config(),
+            SCHEMA,
+            ROWS,
+            unix_addresses(PARTIES, str(tmp_path)),
+            transport={"dead_after": 60.0},
+        )
+        supervisor = ClusterSupervisor(
+            _write_spec(tmp_path, spec),
+            str(tmp_path),
+            kill_after_step={"beta": "age:send_local[beta]"},
+            restart_killed=False,
+        )
+        with pytest.raises(ConfigurationError, match="'beta' exited with code -9"):
+            supervisor.run()
+        assert _tagged(process_tag) == set()
+
+    def test_parties_die_with_their_supervisor(self, tmp_path, process_tag):
+        """A SIGKILLed supervisor leaves nothing running: its launcher
+        sees EOF, kills and reaps its parties, and exits, within 2 s."""
+        spec = encode_spec(
+            _config(),
+            SCHEMA,
+            ROWS,
+            unix_addresses(PARTIES, str(tmp_path)),
+            transport={"dead_after": 60.0},
+        )
+        # beta dies for good and alpha and TP wait for it: the session
+        # stalls for the reconnect budget, long after the kill below.
+        script = (
+            "import sys; from repro.apps.cluster import ClusterSupervisor; "
+            "ClusterSupervisor(sys.argv[1], sys.argv[2], "
+            "kill_after_step={'beta': 'age:send_local[beta]'}, "
+            "tolerate_killed={'beta'}, restart_killed=False).run()"
+        )
+        src = str(Path(sys.modules["repro"].__file__).resolve().parents[1])
+        supervisor = subprocess.Popen(
+            [sys.executable, "-c", script, _write_spec(tmp_path, spec), str(tmp_path)],
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        try:
+            started = time.monotonic()
+            # The launcher and at least two of its parties.
+            while len(_tagged(process_tag) - {supervisor.pid}) < 3:
+                assert supervisor.poll() is None, "the supervisor ended early"
+                assert time.monotonic() - started < 60.0, "the parties never started"
+                time.sleep(0.01)
+        finally:
+            supervisor.kill()
+            supervisor.wait()
+        killed = time.monotonic()
+        while _tagged(process_tag) and time.monotonic() - killed < 2.0:
+            time.sleep(0.01)
+        assert _tagged(process_tag) == set()
+
+    def test_demo_cli_runs_end_to_end(self, tmp_path, capsys, monkeypatch):
+        launched, threads = _watch_launches(monkeypatch)
         assert (
             cluster_main(["demo", "--workdir", str(tmp_path), "--timeout", "120"])
             == 0
         )
         out = capsys.readouterr().out
         assert "clusters:" in out
+        assert len(launched) == 1
+        assert threads == [1]
 
     def test_demo_spec_is_deterministic(self, tmp_path):
         assert demo_spec(str(tmp_path)) == demo_spec(str(tmp_path))

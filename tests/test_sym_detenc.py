@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -108,6 +110,22 @@ class TestSymmetricCipher:
         before anything is allocated (asked for directly, no plaintext)."""
         with pytest.raises(CryptoError, match="exceeds"):
             CounterKeystream(KEY).keystream(bytes(16), MAX_STREAM_BYTES + 1)
+
+    def test_multi_block_keystream_is_one_pbkdf2_call(self, monkeypatch):
+        """Blocks 1 onwards of a frame's keystream come from one PBKDF2
+        call: neither a per-block loop nor a call per block."""
+        cipher = SymmetricCipher(KEY)
+        calls = []
+        pbkdf2 = hashlib.pbkdf2_hmac
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return pbkdf2(*args, **kwargs)
+
+        monkeypatch.setattr(hashlib, "pbkdf2_hmac", counted)
+        sealed = cipher.seal(b"x" * 4096, make_prng(8))  # 128 blocks
+        assert len(calls) == 1
+        assert cipher.open(sealed) == b"x" * 4096
 
     def test_one_shot_helpers(self):
         sealed = seal(KEY, b"msg", make_prng(7))
