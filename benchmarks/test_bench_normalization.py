@@ -77,12 +77,7 @@ def test_no_minmax_protocol_needed():
     partitions = _skewed_partitions()
     session = ClusteringSession(SessionConfig(num_clusters=2), partitions)
     session.execute_protocol()
-    observed_kinds = set()
-    for link in (("A", "B"), ("A", "TP"), ("B", "TP")):
-        channel = session.network.channel(*link)
-        for (s, r, kind), stats in channel._kind_stats.items():
-            if stats.messages:
-                observed_kinds.add(kind)
+    observed_kinds = {kind for _, _, kind, _ in session.network.ledger()}
     assert observed_kinds <= {
         "local_matrix",
         "masked_vector",

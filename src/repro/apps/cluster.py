@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import argparse
 import atexit
+import ctypes
 import json
 import os
 import select
@@ -82,6 +83,9 @@ def unix_addresses(parties: list[str], directory: str) -> dict[str, str]:
 
 #: The launcher's program (see :func:`_launch`).
 _LAUNCHER = "from repro.apps.cluster import _launch; _launch()"
+
+#: ``prctl`` option: the signal a process gets when its parent exits.
+_PR_SET_PDEATHSIG = 1
 
 
 class ClusterSupervisor:
@@ -254,6 +258,7 @@ def _launch() -> None:
     leaves by ``os._exit``: inherited exit handlers run in parties only.
     """
     children: dict[int, tuple[str, int]] = {}  # pidfd -> (party, pid)
+    launcher = os.getpid()
     code = 0
     try:
         requests = b""
@@ -275,7 +280,7 @@ def _launch() -> None:
                     party, argv = json.loads(line)
                     pid = os.fork()
                     if pid == 0:
-                        _forked_party(argv, children)
+                        _forked_party(argv, children, launcher)
                     children[os.pidfd_open(pid)] = (party, pid)
     except (BrokenPipeError, ConnectionResetError):
         pass  # the supervisor is gone
@@ -289,11 +294,22 @@ def _launch() -> None:
         os._exit(code)
 
 
-def _forked_party(argv: list[str], pidfds: Iterable[int]) -> None:
+def _forked_party(argv: list[str], pidfds: Iterable[int], launcher: int) -> None:
     """A forked party's body; ends as a fresh interpreter running
     ``main(argv)`` would: exit handlers, flushed stdio, exit code."""
     code = 1
     try:
+        # A SIGKILLed launcher cannot kill its parties, so each asks the
+        # kernel to.  The launcher is single-threaded, so the signal
+        # comes when it exits; if it exited before the request, this
+        # process already has another parent.
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+        prctl.argtypes = (ctypes.c_int, ctypes.c_ulong)
+        prctl.restype = ctypes.c_int
+        if prctl(_PR_SET_PDEATHSIG, signal.SIGKILL) != 0:
+            raise OSError(ctypes.get_errno(), "prctl(PR_SET_PDEATHSIG) failed")
+        if os.getppid() != launcher:
+            return
         for fd in pidfds:
             os.close(fd)
         # Fd 0 is the launcher's end of its pipe; a party holding it

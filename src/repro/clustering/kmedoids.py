@@ -24,10 +24,12 @@ of swapping medoid m for candidate c into
                   + sum_{i: nearest(i)!=m} min(d(i,c) - dnearest(i), 0)
 
 so one whole-candidate numpy evaluation scores every (m, c) pair in
-O(n^2 + n k) per iteration.  BUILD is likewise a single vectorized gain
-computation per added medoid.  Deterministic throughout, and identical
-to the reference trajectory (the winner selection replays the seed's
-scan order and its 1e-12 strict-improvement rule).
+O(n^2 + n k) per iteration.  BUILD is likewise one vectorized gain pass
+per added medoid.  Both read the matrix through a panel source: views of
+a resident square, or panels streamed off a multi-block store.
+Deterministic throughout, and identical to the reference trajectory (the
+winner selection replays the seed's scan order and its 1e-12
+strict-improvement rule).
 """
 
 from __future__ import annotations
@@ -46,6 +48,30 @@ from repro.exceptions import ClusteringError
 #: Candidate columns are scored in blocks of this many to bound the
 #: working set at O(n * block) instead of O(n^2) scratch.
 _CANDIDATE_BLOCK = 512
+
+
+class _SquarePanels:
+    """Row/column panels of a resident square matrix.
+
+    Panels are views of the square where nothing writes to them, and
+    ``columns`` is the fancy-indexed copy that SWAP overwrites.
+    """
+
+    def __init__(self, square: np.ndarray) -> None:
+        self.square = square
+        self.n = square.shape[0]
+
+    def column(self, index: int) -> np.ndarray:
+        return self.square[:, index]
+
+    def columns(self, indices: np.ndarray) -> np.ndarray:
+        return self.square[:, indices]
+
+    def row_panel(self, r0: int, r1: int) -> np.ndarray:
+        return self.square[r0:r1]
+
+    def column_block(self, start: int, stop: int) -> np.ndarray:
+        return self.square[:, start:stop]
 
 
 class _StorePanels:
@@ -118,46 +144,16 @@ class KMedoidsResult:
     converged: bool
 
 
-def _assignment_cost(square: np.ndarray, medoids: list[int]) -> tuple[np.ndarray, float]:
-    """Nearest-medoid labels and the summed distance cost."""
-    distances = square[:, medoids]
-    nearest = distances.argmin(axis=1)
-    cost = float(distances[np.arange(square.shape[0]), nearest].sum())
-    return nearest, cost
-
-
-def _build_init(square: np.ndarray, k: int) -> list[int]:
+def _build_init(source: _SquarePanels | _StorePanels, k: int) -> list[int]:
     """PAM BUILD: greedily add the medoid that most reduces total cost.
 
-    One numpy gain computation per added medoid: rows of
-    ``nearest - square`` clipped at zero are exactly the per-candidate
-    columns the seed loop evaluated one by one (the matrix is symmetric),
-    summed along the contiguous axis so the reductions -- and therefore
-    the greedy tie-breaking -- match the seed bit for bit.
-    """
-    n = square.shape[0]
-    first = int(square.sum(axis=1).argmin())
-    medoids = [first]
-    is_medoid = np.zeros(n, dtype=bool)
-    is_medoid[first] = True
-    nearest = square[:, first].copy()
-    while len(medoids) < k:
-        gains = np.maximum(nearest[None, :] - square, 0.0).sum(axis=1)
-        gains[is_medoid] = -np.inf
-        best = int(gains.argmax())
-        medoids.append(best)
-        is_medoid[best] = True
-        nearest = np.minimum(nearest, square[:, best])
-    return medoids
-
-
-def _store_build_init(source: _StorePanels, k: int) -> list[int]:
-    """BUILD over a multi-block store: :func:`_build_init` panel by panel.
-
-    Each gain pass reduces per-row over contiguous panel rows -- the same
-    pairwise-summation element order as the full-square temporary -- so
-    the greedy choices (argmin/argmax over bit-identical vectors) match
-    the square path exactly.
+    One gain pass per added medoid, panel by panel: rows of
+    ``nearest - panel`` clipped at zero are exactly the per-candidate
+    columns the seed loop evaluated one by one (the matrix is
+    symmetric), summed along the contiguous axis.  Each row reduces the
+    same elements in the same pairwise order whatever the panel height,
+    so the greedy choices (argmin/argmax over bit-identical vectors)
+    match the seed bit for bit on either panel source.
     """
     n = source.n
     sums = np.empty(n, dtype=np.float64)
@@ -184,46 +180,18 @@ def _store_build_init(source: _StorePanels, k: int) -> list[int]:
 
 
 def _swap_deltas(
-    square: np.ndarray,
+    source: _SquarePanels | _StorePanels,
     medoid_idx: np.ndarray,
     nearest: np.ndarray,
     dnearest: np.ndarray,
     dsecond: np.ndarray,
 ) -> np.ndarray:
-    """Cost deltas of every (medoid position, candidate) swap, (k, n)."""
-    n = square.shape[0]
-    k = medoid_idx.shape[0]
-    member = [nearest == m for m in range(k)]
-    deltas = np.empty((k, n), dtype=np.float64)
-    dnear_col = dnearest[:, None]
-    dsecond_col = dsecond[:, None]
-    for start in range(0, n, _CANDIDATE_BLOCK):
-        block = slice(start, min(start + _CANDIDATE_BLOCK, n))
-        d_c = square[:, block]
-        reduction = np.minimum(d_c - dnear_col, 0.0)
-        shared = reduction.sum(axis=0)
-        # For points losing their nearest medoid, the reduction term is
-        # replaced by min(d(i,c), dsecond(i)) - dnearest(i).
-        correction = np.minimum(d_c, dsecond_col) - dnear_col - reduction
-        for m in range(k):
-            deltas[m, block] = shared + correction[member[m]].sum(axis=0)
-    deltas[:, medoid_idx] = np.inf
-    return deltas
+    """Cost deltas of every (medoid position, candidate) swap, (k, n).
 
-
-def _store_swap_deltas(
-    source: _StorePanels,
-    medoid_idx: np.ndarray,
-    nearest: np.ndarray,
-    dnearest: np.ndarray,
-    dsecond: np.ndarray,
-) -> np.ndarray:
-    """:func:`_swap_deltas` over streamed column blocks.
-
-    The square path's reductions all run on C-contiguous ``(n, block)``
-    temporaries (the strided ``square[:, block]`` view is consumed by
-    elementwise ops first), so feeding the same expressions a contiguous
-    ``column_block`` copy reproduces every delta bit for bit.
+    Every reduction runs on a C-contiguous ``(n, block)`` temporary (a
+    strided ``square[:, block]`` view is consumed by elementwise ops
+    first), so a square's view and a store's contiguous
+    ``column_block`` copy give every delta bit for bit.
     """
     n = source.n
     k = medoid_idx.shape[0]
@@ -237,6 +205,8 @@ def _store_swap_deltas(
         d_c = source.column_block(start, stop)
         reduction = np.minimum(d_c - dnear_col, 0.0)
         shared = reduction.sum(axis=0)
+        # For points losing their nearest medoid, the reduction term is
+        # replaced by min(d(i,c), dsecond(i)) - dnearest(i).
         correction = np.minimum(d_c, dsecond_col) - dnear_col - reduction
         for m in range(k):
             deltas[m, block] = shared + correction[member[m]].sum(axis=0)
@@ -294,22 +264,20 @@ def k_medoids(
     if not 1 <= k <= n:
         raise ClusteringError(f"k must be in [1, {n}], got {k}")
     store = matrix.store
+    source: _SquarePanels | _StorePanels
     if store.size <= store.block_entries or n <= _CANDIDATE_BLOCK:
         # A single-block store is read whole anyway, so its square costs
         # a few blocks of memory at most; and up to one candidate block,
-        # the panel path's first row panel already is the whole square.
-        # The square evaluator reads it once and runs about twice as
-        # fast as streamed panels, with the same bits.
-        square: np.ndarray | None = matrix.to_square()
-        source: _StorePanels | None = None
-        medoids = _build_init(square, k)
+        # one streamed row panel already is the whole square.  Views of
+        # a resident square run about twice as fast as streamed panels,
+        # with the same bits.
+        source = _SquarePanels(matrix.to_square())
     else:
         # Several blocks and several candidate blocks: stream panels,
         # never materialise the square -- peak memory is
         # O(n * _CANDIDATE_BLOCK) plus the store's cache.
-        square = None
         source = _StorePanels(matrix)
-        medoids = _store_build_init(source, k)
+    medoids = _build_init(source, k)
 
     iterations = 0
     converged = False
@@ -319,10 +287,7 @@ def k_medoids(
     while iterations < max_iterations:
         iterations += 1
         medoid_idx = np.asarray(medoids, dtype=np.int64)
-        if square is not None:
-            distances = square[:, medoid_idx]
-        else:
-            distances = source.columns(medoid_idx)
+        distances = source.columns(medoid_idx)
         nearest = distances.argmin(axis=1)
         dnearest = distances[row_index, nearest]
         if k > 1:
@@ -330,24 +295,16 @@ def k_medoids(
             dsecond = distances.min(axis=1)
         else:
             dsecond = np.full(n, np.inf)
-        if square is not None:
-            deltas = _swap_deltas(square, medoid_idx, nearest, dnearest, dsecond)
-        else:
-            deltas = _store_swap_deltas(
-                source, medoid_idx, nearest, dnearest, dsecond
-            )
+        deltas = _swap_deltas(source, medoid_idx, nearest, dnearest, dsecond)
         swap = _select_swap(deltas)
         if swap is None:
             converged = True
             break
         medoids[swap[0]] = int(swap[1])
 
-    if square is not None:
-        nearest, cost = _assignment_cost(square, medoids)
-    else:
-        distances = source.columns(np.asarray(medoids, dtype=np.int64))
-        nearest = distances.argmin(axis=1)
-        cost = float(distances[row_index, nearest].sum())
+    distances = source.columns(np.asarray(medoids, dtype=np.int64))
+    nearest = distances.argmin(axis=1)
+    cost = float(distances[row_index, nearest].sum())
     # Renumber labels by first appearance so results are comparable.
     remap: dict[int, int] = {}
     labels = []

@@ -26,12 +26,10 @@ Positions are condensed-layout indices (pair ``(i, j)``, ``i > j``, at
 condensed vector, which keeps whole-row reads (one contiguous segment
 below the diagonal) single-shard-friendly.
 
-Backend selection is a :class:`StoreSpec`, resolved by default from the
-environment (``REPRO_STORE_BACKEND`` = ``memory`` | ``memmap``, plus
-``REPRO_STORE_BLOCK_ENTRIES`` / ``REPRO_STORE_CACHE_BYTES`` /
-``REPRO_STORE_DIR``) so whole test suites and spawned party processes
-can be re-pointed at a backend without code changes; explicit specs
-flow through :class:`~repro.core.config.ProtocolSuiteConfig`.
+Backend selection is a :class:`StoreSpec`, whose backend defaults to
+the environment's ``REPRO_STORE_BACKEND`` (``memory`` | ``memmap``) so
+whole test suites can be re-pointed at a backend without code changes;
+explicit specs flow through :class:`~repro.core.config.ProtocolSuiteConfig`.
 """
 
 from __future__ import annotations
@@ -56,11 +54,8 @@ DEFAULT_BLOCK_ENTRIES = 1 << 21
 #: LRU budget for resident memmap blocks: 256 MiB.
 DEFAULT_CACHE_BYTES = 256 << 20
 
-#: Environment knobs honoured by :func:`default_store_spec`.
+#: The environment knob honoured by :func:`default_store_spec`.
 ENV_BACKEND = "REPRO_STORE_BACKEND"
-ENV_BLOCK_ENTRIES = "REPRO_STORE_BLOCK_ENTRIES"
-ENV_CACHE_BYTES = "REPRO_STORE_CACHE_BYTES"
-ENV_DIRECTORY = "REPRO_STORE_DIR"
 
 _BACKENDS = ("memory", "memmap")
 
@@ -101,31 +96,15 @@ class StoreSpec:
 
 
 def default_store_spec() -> StoreSpec:
-    """The process-wide default spec, resolved from the environment.
+    """The process-wide default spec: the module defaults, on the
+    backend ``REPRO_STORE_BACKEND`` names.
 
-    Unset or empty variables fall back to the in-memory float64 backend
-    with the module defaults -- exactly the pre-backend behaviour -- so
-    the environment is a pure opt-in override (the ``storage-memmap`` CI
-    job and spawned party processes use it to re-point whole runs).
+    Unset or empty, it falls back to the in-memory float64 backend --
+    exactly the pre-backend behaviour -- so the environment is a pure
+    opt-in override (the ``storage-memmap`` CI job uses it to re-point
+    whole runs).
     """
-    backend = os.environ.get(ENV_BACKEND, "").strip() or "memory"
-    spec_kwargs: dict[str, object] = {"backend": backend}
-    for env, field in (
-        (ENV_BLOCK_ENTRIES, "block_entries"),
-        (ENV_CACHE_BYTES, "cache_bytes"),
-    ):
-        raw = os.environ.get(env, "").strip()
-        if raw:
-            try:
-                spec_kwargs[field] = int(raw)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{env} must be an integer, got {raw!r}"
-                ) from None
-    directory = os.environ.get(ENV_DIRECTORY, "").strip()
-    if directory:
-        spec_kwargs["directory"] = directory
-    return StoreSpec(**spec_kwargs)  # type: ignore[arg-type]
+    return StoreSpec(backend=os.environ.get(ENV_BACKEND, "").strip() or "memory")
 
 
 def open_store(

@@ -27,18 +27,20 @@ from repro.network.message import Message
 from repro.network.serialization import deserialize, serialize
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChannelStats:
-    """Accumulated traffic counters for one direction of a channel."""
+    """One ledger row: the frames one sender sent one recipient under
+    one ``(kind, tag)``, counted once each at transmit."""
 
     messages: int = 0
     payload_bytes: int = 0
     wire_bytes: int = 0
 
-    def record(self, payload_size: int, wire_size: int) -> None:
-        self.messages += 1
-        self.payload_bytes += payload_size
-        self.wire_bytes += wire_size
+
+#: A ledger row's key: ``(sender, recipient, kind, tag)``.
+LedgerKey = tuple[str, str, str, str]
+
+_NO_TRAFFIC = ChannelStats()
 
 
 @dataclass(frozen=True)
@@ -124,50 +126,27 @@ class Channel:
             else LinkCipher((party_a, party_b))
         )
         # guarded-by: self._lock
-        self._stats: dict[tuple[str, str], ChannelStats] = {}
-        # guarded-by: self._lock
-        self._kind_stats: dict[tuple[str, str, str], ChannelStats] = {}
-        # guarded-by: self._lock
-        self._tag_stats: dict[str, ChannelStats] = {}
+        self._ledger: dict[LedgerKey, ChannelStats] = {}
         # guarded-by: self._lock
         self._taps: list[Eavesdropper] = []
-        #: Serialises sealing, counter updates and tap captures:
-        #: concurrent transmits on one link account exactly, and a tap's
-        #: view is consistent with the counters.  Serialization and
-        #: deserialization stay outside the lock -- they are pure and
+        #: Serialises sealing, ledger updates and tap captures:
+        #: concurrent transmits on one link account exactly, and a tap
+        #: never sees a frame the ledger has not counted.  Serialization
+        #: and deserialization stay outside the lock -- they are pure and
         #: dominate a big frame's CPU cost.
-        #: Re-entrant because :meth:`transmit` records through the same
-        #: ``stats``/``kind_stats`` accessors readers use.
-        self._lock = threading.RLock()
+        self._lock = threading.Lock()
 
     def attach_tap(self, tap: Eavesdropper) -> None:
         """Register a passive eavesdropper on this link."""
         with self._lock:
             self._taps.append(tap)
 
-    def stats(self, sender: str, recipient: str) -> ChannelStats:
-        """Traffic counters for the ``sender -> recipient`` direction."""
-        self._require_endpoint(sender)
-        self._require_endpoint(recipient)
+    def ledger(self) -> dict[LedgerKey, ChannelStats]:
+        """A snapshot of this link's traffic: one row per ``(sender,
+        recipient, kind, tag)`` that carried a frame.  Rows are
+        immutable, so later transmits never change a snapshot."""
         with self._lock:
-            return self._stats.setdefault((sender, recipient), ChannelStats())
-
-    def kind_stats(self, sender: str, recipient: str, kind: str) -> ChannelStats:
-        """Traffic counters for one message kind in one direction.
-
-        Lets the cost benchmarks separate e.g. local-matrix transfers
-        from comparison-matrix transfers on the same link, matching the
-        paper's itemised O(.) terms.
-        """
-        self._require_endpoint(sender)
-        self._require_endpoint(recipient)
-        with self._lock:
-            return self._kind_stats.setdefault((sender, recipient, kind), ChannelStats())
-
-    def tag_totals(self) -> dict[str, ChannelStats]:
-        """Traffic counters grouped by accounting tag (both directions)."""
-        with self._lock:
-            return dict(self._tag_stats)
+            return dict(self._ledger)
 
     def _require_endpoint(self, name: str) -> None:
         if name not in self.endpoints:
@@ -182,9 +161,11 @@ class Channel:
         plain = serialize(payload)
         with self._lock:
             wire, plain = self.link.roundtrip(plain)
-            self.stats(sender, recipient).record(len(plain), len(wire))
-            self.kind_stats(sender, recipient, kind).record(len(plain), len(wire))
-            self._tag_stats.setdefault(tag, ChannelStats()).record(len(plain), len(wire))
+            key = (sender, recipient, kind, tag)
+            row = self._ledger.get(key, _NO_TRAFFIC)
+            self._ledger[key] = ChannelStats(
+                row.messages + 1, row.payload_bytes + len(plain), row.wire_bytes + len(wire)
+            )
             frame = TappedFrame(
                 sender=sender,
                 recipient=recipient,

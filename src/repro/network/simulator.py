@@ -60,7 +60,7 @@ from typing import Any, Mapping
 
 from repro.crypto.prng import ReseedablePRNG
 from repro.exceptions import ChannelError, LaneTimeoutError, PartyCrashError
-from repro.network.channel import Channel, Eavesdropper
+from repro.network.channel import Channel, ChannelStats, Eavesdropper, LedgerKey
 from repro.network.faults import FaultDecision, FaultPlan
 from repro.network.lanes import LaneInbox
 from repro.network.message import Message
@@ -372,35 +372,34 @@ class Network(Transport):
 
     # -- accounting ------------------------------------------------------------
 
+    def ledger(self) -> dict[LedgerKey, ChannelStats]:
+        """A snapshot of every link's traffic, one row per ``(sender,
+        recipient, kind, tag)``; the byte and message counts below are
+        views over it."""
+        rows: dict[LedgerKey, ChannelStats] = {}
+        for channel in list(self._channels.values()):
+            rows.update(channel.ledger())
+        return rows
+
     def bytes_sent_by(self, party: str) -> int:
         """Total wire bytes this party transmitted (all links)."""
-        total = 0
-        for link, channel in self._channels.items():
-            if party in link:
-                (other,) = link - {party}
-                total += channel.stats(party, other).wire_bytes
-        return total
+        return sum(row.wire_bytes for key, row in self.ledger().items() if key[0] == party)
 
     def bytes_on_link(self, party_a: str, party_b: str) -> int:
         """Total wire bytes in both directions of one link."""
-        channel = self.channel(party_a, party_b)
-        return (
-            channel.stats(party_a, party_b).wire_bytes
-            + channel.stats(party_b, party_a).wire_bytes
-        )
+        return sum(row.wire_bytes for row in self.channel(party_a, party_b).ledger().values())
 
     def total_bytes(self) -> int:
         """Grand total of wire bytes across the whole network."""
-        total = 0
-        for link, channel in self._channels.items():
-            a, b = sorted(link)
-            total += channel.stats(a, b).wire_bytes
-            total += channel.stats(b, a).wire_bytes
-        return total
+        return sum(row.wire_bytes for row in self.ledger().values())
 
     def bytes_of_kind(self, sender: str, recipient: str, kind: str) -> int:
         """Wire bytes of one message kind on one directed link."""
-        return self.channel(sender, recipient).kind_stats(sender, recipient, kind).wire_bytes
+        return sum(
+            row.wire_bytes
+            for key, row in self.channel(sender, recipient).ledger().items()
+            if key[:3] == (sender, recipient, kind)
+        )
 
     def bytes_by_tag(self) -> dict[str, int]:
         """Network-wide wire bytes grouped by accounting tag.
@@ -409,16 +408,10 @@ class Network(Transport):
         per-attribute cost breakdown of a whole session.
         """
         totals: dict[str, int] = {}
-        for channel in self._channels.values():
-            for tag, stats in channel.tag_totals().items():
-                totals[tag] = totals.get(tag, 0) + stats.wire_bytes
+        for key, row in self.ledger().items():
+            totals[key[3]] = totals.get(key[3], 0) + row.wire_bytes
         return totals
 
     def messages_sent_by(self, party: str) -> int:
         """Total message count this party transmitted."""
-        total = 0
-        for link, channel in self._channels.items():
-            if party in link:
-                (other,) = link - {party}
-                total += channel.stats(party, other).messages
-        return total
+        return sum(row.messages for key, row in self.ledger().items() if key[0] == party)

@@ -384,7 +384,7 @@ class SocketTransport(Transport):
         except OSError:
             return False
         try:
-            await self._send_control(writer, self._hello_payload())
+            await self._send_control(writer, self._hello_payload(peer))
             await self._send_control(
                 writer, hs.dh_frame(self._local, self._dh.public_value)
             )
@@ -419,7 +419,7 @@ class SocketTransport(Transport):
                 )
             peer = candidate
             self._process_hello(peer, hello)
-            await self._send_control(writer, self._hello_payload())
+            await self._send_control(writer, self._hello_payload(peer))
             await self._send_control(
                 writer, hs.dh_frame(self._local, self._dh.public_value)
             )
@@ -435,20 +435,14 @@ class SocketTransport(Transport):
                         self._set_status_locked(peer, DOWN)
             writer.close()
 
-    def _hello_payload(self) -> dict[str, Any]:
+    def _hello_payload(self, peer: _Peer) -> dict[str, Any]:
+        """Our hello to ``peer``.  It reaches the peer before our DH
+        frame, so its delivered-count is what the peer's replay skips."""
         with self._cond:
             era = self._era
             incarnation = self._incarnations[self._local]
-        return hs.hello_frame(
-            self._local,
-            incarnation,
-            self._fingerprint,
-            era,
-            # Filled per peer at attach time; the generic value is only
-            # used before a peer is identified (never happens: hellos go
-            # to known peers), so report zero conservatively.
-            0,
-        )
+            delivered = peer.delivered
+        return hs.hello_frame(self._local, incarnation, self._fingerprint, era, delivered)
 
     async def _attach(
         self,
@@ -555,18 +549,6 @@ class SocketTransport(Transport):
                 self._local, peer.name, peer.shared
             )
         await self._replay(peer, writer)
-        # Tell the peer how much of *its* stream we already delivered,
-        # so its replay (on the connection it dialed or accepted) can
-        # prune correctly even though our initial hello predated
-        # knowing which peer connected.
-        with self._cond:
-            delivered = peer.delivered
-            era = self._era
-            incarnation = self._incarnations[self._local]
-        await self._send_control(
-            writer,
-            hs.hello_frame(self._local, incarnation, self._fingerprint, era, delivered),
-        )
         with self._cond:
             peer.handshaken = True
             peer.ever_handshaken = True

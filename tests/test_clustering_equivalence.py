@@ -16,7 +16,7 @@ import pytest
 from scipy.cluster.hierarchy import cophenet, linkage as scipy_linkage
 
 from repro.clustering import quality
-from repro.clustering.kmedoids import _build_init, k_medoids
+from repro.clustering.kmedoids import _build_init, _SquarePanels, k_medoids
 from repro.clustering.linkage import agglomerative
 from repro.clustering.reference import (
     _build_init as reference_build_init,
@@ -142,7 +142,7 @@ class TestKMedoidsEquivalence:
         scan, one numpy gain computation per added medoid)."""
         for seed in range(8):
             square = random_matrix(25, seed + 200).to_square()
-            assert _build_init(square, k) == reference_build_init(square, k)
+            assert _build_init(_SquarePanels(square), k) == reference_build_init(square, k)
 
     def test_k_equals_n_and_k_one(self):
         matrix = random_matrix(12, 9)

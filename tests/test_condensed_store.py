@@ -57,9 +57,6 @@ from repro.distance.merge import merge_weighted
 from repro.distance.store import (
     DEFAULT_BLOCK_ENTRIES,
     ENV_BACKEND,
-    ENV_BLOCK_ENTRIES,
-    ENV_CACHE_BYTES,
-    ENV_DIRECTORY,
     InMemoryStore,
     MemmapStore,
     StoreSpec,
@@ -884,27 +881,15 @@ class TestMemmapInternals:
 # -- environment-driven defaults ---------------------------------------------
 
 
-def test_default_spec_honours_environment(monkeypatch, tmp_path):
+def test_default_spec_honours_environment(monkeypatch):
     monkeypatch.delenv(ENV_BACKEND, raising=False)
-    monkeypatch.delenv(ENV_BLOCK_ENTRIES, raising=False)
-    monkeypatch.delenv(ENV_CACHE_BYTES, raising=False)
-    monkeypatch.delenv(ENV_DIRECTORY, raising=False)
     assert default_store_spec() == StoreSpec()
 
     monkeypatch.setenv(ENV_BACKEND, "memmap")
-    monkeypatch.setenv(ENV_BLOCK_ENTRIES, "4096")
-    monkeypatch.setenv(ENV_CACHE_BYTES, str(1 << 20))
-    monkeypatch.setenv(ENV_DIRECTORY, str(tmp_path))
     spec = default_store_spec()
-    assert spec == StoreSpec(
-        backend="memmap",
-        block_entries=4096,
-        cache_bytes=1 << 20,
-        directory=str(tmp_path),
-    )
+    assert spec == StoreSpec(backend="memmap")
     matrix = DissimilarityMatrix.zeros(10, store_spec=spec)
     assert matrix.store_kind == "memmap"
-    assert str(tmp_path) in matrix.store.directory
 
 
 def test_bad_spec_is_rejected():

@@ -20,6 +20,8 @@ from repro.data.matrix import AttributeSpec, Schema
 from repro.data.partition import GlobalIndex
 from repro.distance.dissimilarity import DissimilarityMatrix
 from repro.exceptions import ProtocolError
+from repro.network.channel import ChannelStats
+from repro.network.serialization import serialize
 from repro.network.simulator import Network
 from repro.parties.third_party import ThirdParty
 from repro.types import AttributeType
@@ -170,11 +172,10 @@ class TestNetworkLaneLocks:
                 net.send(sender, recipient, "k", [n] * 4, tag="hammer")
 
         _hammer(4, send)
-        total = (
-            channel.stats("A", "B").messages + channel.stats("B", "A").messages
-        )
-        assert total == 4 * per_thread
-        assert channel.tag_totals()["hammer"].messages == total
+        # Two threads per direction; insecure links: wire == payload.
+        sent = 2 * sum(len(serialize([n] * 4)) for n in range(per_thread))
+        row = ChannelStats(2 * per_thread, sent, sent)
+        assert channel.ledger() == {("A", "B", "k", "hammer"): row, ("B", "A", "k", "hammer"): row}
 
 
 class TestParallelRunState:

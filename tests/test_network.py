@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.crypto.prng import make_prng
 from repro.exceptions import ChannelError, ProtocolError
-from repro.network.channel import Channel, Eavesdropper
+from repro.network.channel import Channel, ChannelStats, Eavesdropper
 from repro.network.serialization import deserialize, serialize, serialized_size
 from repro.network.simulator import Network
 
@@ -253,16 +253,17 @@ class TestChannel:
         ch = Channel("A", "B", secure=False)
         ch.transmit("A", "B", "k", "", [1] * 100)
         ch.transmit("B", "A", "k", "", 1)
-        assert ch.stats("A", "B").messages == 1
-        assert ch.stats("B", "A").messages == 1
-        assert ch.stats("A", "B").wire_bytes > ch.stats("B", "A").wire_bytes
+        forward, backward = ch.ledger()[("A", "B", "k", "")], ch.ledger()[("B", "A", "k", "")]
+        assert forward.messages == 1
+        assert backward.messages == 1
+        assert forward.wire_bytes > backward.wire_bytes
 
     def test_kind_stats_separate(self):
         ch = Channel("A", "B", secure=False)
         ch.transmit("A", "B", "alpha", "", [1, 2])
         ch.transmit("A", "B", "beta", "", [1])
-        assert ch.kind_stats("A", "B", "alpha").messages == 1
-        assert ch.kind_stats("A", "B", "beta").messages == 1
+        assert ch.ledger()[("A", "B", "alpha", "")].messages == 1
+        assert ch.ledger()[("A", "B", "beta", "")].messages == 1
 
     def test_secure_overhead_counted(self):
         insecure = Channel("A", "B", secure=False)
@@ -270,9 +271,8 @@ class TestChannel:
         payload = [1, 2, 3]
         insecure.transmit("A", "B", "k", "", payload)
         secure.transmit("A", "B", "k", "", payload)
-        delta = (
-            secure.stats("A", "B").wire_bytes - insecure.stats("A", "B").wire_bytes
-        )
+        key = ("A", "B", "k", "")
+        delta = secure.ledger()[key].wire_bytes - insecure.ledger()[key].wire_bytes
         assert delta == 48  # nonce + tag
 
     def test_eavesdropper_reads_insecure(self):
@@ -370,6 +370,67 @@ class TestNetwork:
             "A", "B", "beta"
         )
         assert net.bytes_of_kind("A", "B", "gamma") == 0
+
+    def test_ledger_counts_each_frame_once(self):
+        net = self._net()
+        sends = [
+            ("A", "B", "alpha", "t1", [1] * 20),
+            ("A", "B", "alpha", "t1", [2] * 20),
+            ("A", "B", "alpha", "t2", 1),
+            ("B", "A", "beta", "t1", [3] * 5),
+            ("A", "TP", "alpha", "t2", [4] * 9),
+            ("B", "TP", "gamma", "t3", "x"),
+        ]
+        expected: dict[tuple[str, str, str, str], ChannelStats] = {}
+        for sender, recipient, kind, tag, payload in sends:
+            net.send(sender, recipient, kind, payload, tag=tag)
+            key = (sender, recipient, kind, tag)
+            row = expected.get(key, ChannelStats())
+            size = len(serialize(payload))  # insecure links: wire == payload
+            expected[key] = ChannelStats(row.messages + 1, row.payload_bytes + size, row.wire_bytes + size)
+        ledger = net.ledger()
+        assert ledger == expected
+        for party in ("A", "B", "TP"):
+            sent = [row for key, row in ledger.items() if key[0] == party]
+            assert net.bytes_sent_by(party) == sum(row.wire_bytes for row in sent)
+            assert net.messages_sent_by(party) == sum(row.messages for row in sent)
+        assert net.bytes_on_link("A", "B") == sum(
+            row.wire_bytes for key, row in ledger.items() if {"A", "B"} == set(key[:2])
+        )
+        assert net.total_bytes() == sum(row.wire_bytes for row in ledger.values())
+        assert net.bytes_of_kind("A", "B", "alpha") == sum(
+            ledger[("A", "B", "alpha", tag)].wire_bytes for tag in ("t1", "t2")
+        )
+        assert net.bytes_by_tag() == {
+            tag: sum(row.wire_bytes for key, row in ledger.items() if key[3] == tag)
+            for tag in ("t1", "t2", "t3")
+        }
+
+    def test_ledger_reads_add_no_rows(self):
+        net = self._net()
+        net.send("A", "B", "alpha", 1, tag="t")
+        before = net.ledger()
+        assert net.bytes_of_kind("A", "B", "never-sent") == 0
+        assert net.bytes_of_kind("B", "A", "alpha") == 0
+        assert net.bytes_sent_by("TP") == net.messages_sent_by("TP") == 0
+        assert net.bytes_on_link("B", "TP") == 0
+        net.total_bytes()
+        net.bytes_by_tag()
+        assert net.ledger() == before
+        assert list(before) == [("A", "B", "alpha", "t")]
+        assert net.channel("B", "TP").ledger() == {}
+
+    def test_ledger_snapshot_is_frozen(self):
+        net = self._net()
+        net.send("A", "B", "alpha", 1, tag="t")
+        snapshot = net.ledger()
+        channel_snapshot = net.channel("A", "B").ledger()
+        row = snapshot[("A", "B", "alpha", "t")]
+        net.send("A", "B", "alpha", 2, tag="t")
+        net.send("A", "B", "beta", 3, tag="t")
+        assert snapshot == channel_snapshot == {("A", "B", "alpha", "t"): row}
+        assert row.messages == 1
+        assert net.ledger()[("A", "B", "alpha", "t")].messages == 2
 
     def test_assert_drained(self):
         net = self._net()

@@ -336,7 +336,7 @@ class TestAccountingHammer:
             thread.join()
 
         per_lane = 2 * sends_per_thread
-        one_wire = net.channel("A", "B").stats("A", "B").wire_bytes // per_lane
+        one_wire = net.ledger()[("A", "B", "hammer", "x")].wire_bytes // per_lane
         assert net.messages_sent_by("A") == 3 * per_lane
         assert net.messages_sent_by("B") == per_lane
         assert net.total_bytes() == 4 * per_lane * one_wire

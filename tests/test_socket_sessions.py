@@ -566,6 +566,59 @@ class TestClusterSupervisor:
             time.sleep(0.01)
         assert _tagged(process_tag) == set()
 
+    def test_parties_die_with_their_launcher(self, tmp_path, process_tag, monkeypatch):
+        """A SIGKILLed launcher cannot kill its parties; the kernel does,
+        within 2 s, and ``run`` reports that the launcher exited."""
+        spec = encode_spec(
+            _config(),
+            SCHEMA,
+            ROWS,
+            unix_addresses(PARTIES, str(tmp_path)),
+            transport={"dead_after": 60.0},
+        )
+        launchers = []
+        start_launcher = ClusterSupervisor._start_launcher
+
+        def recording(self, stdin):
+            launchers.append(start_launcher(self, stdin))
+            return launchers[-1]
+
+        monkeypatch.setattr(ClusterSupervisor, "_start_launcher", recording)
+        # As above, alpha and TP wait for the dead beta long after the kill.
+        supervisor = ClusterSupervisor(
+            _write_spec(tmp_path, spec),
+            str(tmp_path),
+            kill_after_step={"beta": "age:send_local[beta]"},
+            tolerate_killed={"beta"},
+            restart_killed=False,
+        )
+        errors = []
+
+        def run():
+            try:
+                supervisor.run()
+            except ConfigurationError as exc:
+                errors.append(str(exc))
+
+        thread = threading.Thread(target=run)
+        thread.start()
+        try:
+            started = time.monotonic()
+            # The launcher and at least two of its parties.
+            while len(_tagged(process_tag)) < 3:
+                assert thread.is_alive(), "the supervisor ended early"
+                assert time.monotonic() - started < 60.0, "the parties never started"
+                time.sleep(0.01)
+        finally:
+            launchers[0].kill()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+        assert len(errors) == 1 and "the party launcher exited" in errors[0]
+        killed = time.monotonic()
+        while _tagged(process_tag) and time.monotonic() - killed < 2.0:
+            time.sleep(0.01)
+        assert _tagged(process_tag) == set()
+
     def test_demo_cli_runs_end_to_end(self, tmp_path, capsys, monkeypatch):
         launched, threads = _watch_launches(monkeypatch)
         assert (

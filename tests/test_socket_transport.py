@@ -502,6 +502,37 @@ class TestSocketTransport:
         finally:
             _close_all(mesh)
 
+    def test_reconnect_replays_only_frames_the_peer_lacks(self):
+        mesh = _mesh()
+        try:
+            alpha, beta = mesh["alpha"], mesh["beta"]
+            send_control, process_data = beta._send_control, beta._process_data
+            arrivals = []
+
+            async def without_acks(writer, frame):
+                if hs.frame_type(frame) != hs.ACK:
+                    await send_control(writer, frame)
+
+            async def recording(peer, frame, writer):
+                arrivals.append(frame.seq)
+                await process_data(peer, frame, writer)
+
+            # Unacked, all five frames stay in alpha's outbox.
+            beta._send_control = without_acks
+            beta._process_data = recording
+            for i in range(5):
+                alpha.send("alpha", "beta", "blob", i, tag="t")
+            for i in range(5):
+                assert beta.receive("beta", kind="blob", sender="alpha", tag="t").payload == i
+            alpha.debug_drop_connection("beta")
+            alpha.send("alpha", "beta", "blob", 5, tag="t")
+            assert beta.receive("beta", kind="blob", sender="alpha", tag="t").payload == 5
+            # beta's hello reported five frames delivered, so the replay
+            # re-sent none of them and beta discarded nothing.
+            assert arrivals == [0, 1, 2, 3, 4, 5]
+        finally:
+            _close_all(mesh)
+
     def test_corrupted_frame_recovers_by_replay(self):
         mesh = _mesh()
         try:

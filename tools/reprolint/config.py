@@ -77,7 +77,6 @@ class Config:
             "best_key",
             "lane_key",
             "key_stats",
-            "kind_stats",
             # A public key is public by definition; only the private half
             # is material.
             "public_key",
